@@ -121,7 +121,17 @@ func parseJournalArg(fs *flag.FlagSet) (*analyze.Run, error) {
 	if fs.NArg() != 1 {
 		return nil, fmt.Errorf("want exactly one journal path (a journal.jsonl, a run directory, or an l2farm -journal directory)")
 	}
-	return analyze.ParseFile(fs.Arg(0))
+	return parseJournal(fs.Arg(0))
+}
+
+// parseJournal parses the journal at path, warning on stderr when its
+// final record was torn: the figures then cover every complete record.
+func parseJournal(path string) (*analyze.Run, error) {
+	run, err := analyze.ParseFile(path)
+	if err == nil && run.Truncated != nil {
+		fmt.Fprintf(os.Stderr, "l2journal: warning: %s: %v; rendering the complete records before it\n", path, run.Truncated)
+	}
+	return run, err
 }
 
 func figures(args []string) error {
@@ -200,11 +210,11 @@ func trend(args []string) error {
 	if fs.NArg() != 2 {
 		return fmt.Errorf("want BASELINE and CURRENT journal paths")
 	}
-	base, err := analyze.ParseFile(fs.Arg(0))
+	base, err := parseJournal(fs.Arg(0))
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
 	}
-	cur, err := analyze.ParseFile(fs.Arg(1))
+	cur, err := parseJournal(fs.Arg(1))
 	if err != nil {
 		return fmt.Errorf("current: %w", err)
 	}

@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 
 	"l2fuzz/internal/bt/hci"
 	"l2fuzz/internal/bt/l2cap"
@@ -48,7 +49,9 @@ type Device struct {
 	mux    *rfcomm.Mux
 	ports  []ServicePort
 
-	channels       map[l2cap.CID]*channel
+	// channels holds the open channels: at most the profile's
+	// MaxDynamicChannels, so lookups by CID scan the slice.
+	channels       []*channel
 	closedMachines []*sm.Machine // archived machines of closed channels
 	nextCID        l2cap.CID
 	nextSigID      uint8
@@ -62,11 +65,12 @@ type Device struct {
 	// (device.TriggerCommandFlood) read through TriggerContext.Seq.
 	cmdSeq int
 
-	// handlerHits counts invocations per packet handler: the simulated
-	// analogue of the limited code-coverage measurement the paper's §V
-	// cites Frankenstein for. Keys are command names plus the data-plane
-	// handlers ("SDP", "RFCOMM").
-	handlerHits map[string]int
+	// The handler counters count invocations per packet handler: the
+	// simulated analogue of the limited code-coverage measurement the
+	// paper's §V cites Frankenstein for. cmdHits is indexed by command
+	// code; HandlerCoverage names the slots.
+	cmdHits                              [256]int
+	sdpHits, rfcommHits, undecodableHits int
 
 	// Reused scratch state for the steady-state receive/respond path.
 	// The device never receives while mid-send (the client's receive
@@ -130,15 +134,13 @@ func New(m *radio.Medium, cfg Config) (*Device, error) {
 	}
 
 	d := &Device{
-		ctrl:        ctrl,
-		medium:      m,
-		cfg:         cfg,
-		sdpSrv:      newSDPServer(ports, cfg),
-		ports:       ports,
-		channels:    make(map[l2cap.CID]*channel),
-		nextCID:     l2cap.CIDDynamicFirst,
-		nextSigID:   1,
-		handlerHits: make(map[string]int),
+		ctrl:      ctrl,
+		medium:    m,
+		cfg:       cfg,
+		sdpSrv:    newSDPServer(ports, cfg),
+		ports:     ports,
+		nextCID:   l2cap.CIDDynamicFirst,
+		nextSigID: 1,
 	}
 	if len(cfg.RFCOMMServices) > 0 {
 		defect := cfg.RFCOMMDefect
@@ -151,10 +153,11 @@ func New(m *radio.Medium, cfg Config) (*Device, error) {
 	ctrl.SetDisconnectHandler(func(hci.ConnHandle, radio.BDAddr) {
 		// Baseband link loss tears down every L2CAP channel riding it
 		// (single-peer simulation: all channels belong to the link).
-		for cid, ch := range d.channels {
+		for _, ch := range d.channels {
 			d.closedMachines = append(d.closedMachines, ch.m)
-			delete(d.channels, cid)
 		}
+		clear(d.channels)
+		d.channels = d.channels[:0]
 	})
 	return d, nil
 }
@@ -193,7 +196,7 @@ func (d *Device) Reset() {
 	d.serviceDown = false
 	d.poweredOff = false
 	d.dump = nil
-	d.channels = make(map[l2cap.CID]*channel)
+	d.channels = nil
 	d.closedMachines = nil
 	d.nextCID = l2cap.CIDDynamicFirst
 	d.cmdSeq = 0
@@ -260,14 +263,14 @@ func (d *Device) onL2CAP(h hci.ConnHandle, peer radio.BDAddr, raw []byte) {
 // onData serves open data channels: SDP transactions and, when mounted,
 // the RFCOMM multiplexer.
 func (d *Device) onData(h hci.ConnHandle, pkt l2cap.Packet) {
-	ch, ok := d.channels[pkt.ChannelID]
-	if !ok || ch.m.State() != sm.StateOpen {
+	ch := d.channel(pkt.ChannelID)
+	if ch == nil || ch.m.State() != sm.StateOpen {
 		return
 	}
 	body := pkt.Payload[:min(int(pkt.Length), len(pkt.Payload))]
 	switch {
 	case ch.psm == l2cap.PSMSDP:
-		d.handlerHits["SDP"]++
+		d.sdpHits++
 		if rsp := d.sdpSrv.Handle(body); rsp != nil {
 			d.send(h, l2cap.NewPacket(ch.remoteCID, rsp))
 		}
@@ -275,7 +278,7 @@ func (d *Device) onData(h hci.ConnHandle, pkt l2cap.Packet) {
 			d.crashFromSDP()
 		}
 	case ch.psm == l2cap.PSMRFCOMM && d.mux != nil:
-		d.handlerHits["RFCOMM"]++
+		d.rfcommHits++
 		// RFCOMM garbage tails live beyond the declared L2CAP length;
 		// hand the mux the full payload so its own FCS/tail logic sees
 		// them (the buggy parse path reads past the declared length).
@@ -346,11 +349,11 @@ func (d *Device) onSignaling(h hci.ConnHandle, pkt l2cap.Packet) {
 func (d *Device) handleCommand(h hci.ConnHandle, f l2cap.Frame) {
 	cmd, err := d.dec.Decode(f)
 	if err != nil {
-		d.handlerHits["undecodable"]++
+		d.undecodableHits++
 		d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
 		return
 	}
-	d.handlerHits[f.Code.String()]++
+	d.cmdHits[f.Code]++
 	d.cmdSeq++
 	switch c := cmd.(type) {
 	case *l2cap.ConnectionReq:
@@ -462,7 +465,8 @@ func (d *Device) onCreateChannelReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Cr
 // onConfigurationReq implements the configuration responder, including
 // the lenient channel lookup of the vulnerable stacks.
 func (d *Device) onConfigurationReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.ConfigurationReq) {
-	ch, known := d.channels[c.DCID]
+	ch := d.channel(c.DCID)
+	known := ch != nil
 	if !known && d.cfg.Profile.LenientChannelLookup {
 		ch = d.anyConfigJobChannel()
 	}
@@ -511,7 +515,8 @@ func (d *Device) onConfigurationReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Co
 
 // onConfigurationRsp consumes responses to the device's own proposals.
 func (d *Device) onConfigurationRsp(h hci.ConnHandle, f l2cap.Frame, c *l2cap.ConfigurationRsp) {
-	ch, known := d.channels[c.SCID]
+	ch := d.channel(c.SCID)
+	known := ch != nil
 	if !known && d.cfg.Profile.LenientChannelLookup {
 		ch = d.anyConfigJobChannel()
 	}
@@ -533,7 +538,8 @@ func (d *Device) onConfigurationRsp(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Co
 
 // onDisconnectionReq tears a channel down.
 func (d *Device) onDisconnectionReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.DisconnectionReq) {
-	ch, known := d.channels[c.DCID]
+	ch := d.channel(c.DCID)
+	known := ch != nil
 	state := sm.StateClosed
 	if ch != nil {
 		state = ch.m.State()
@@ -584,7 +590,8 @@ func (d *Device) onInformationReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Info
 
 // onMoveChannelReq implements the AMP move acceptor.
 func (d *Device) onMoveChannelReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.MoveChannelReq) {
-	ch, known := d.channels[c.ICID]
+	ch := d.channel(c.ICID)
+	known := ch != nil
 	state := sm.StateClosed
 	if ch != nil {
 		state = ch.m.State()
@@ -609,7 +616,8 @@ func (d *Device) onMoveChannelReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Move
 
 // onMoveConfirmReq completes a move.
 func (d *Device) onMoveConfirmReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.MoveChannelConfirmReq) {
-	ch, known := d.channels[c.ICID]
+	ch := d.channel(c.ICID)
+	known := ch != nil
 	state := sm.StateClosed
 	if ch != nil {
 		state = ch.m.State()
@@ -718,6 +726,16 @@ func (d *Device) lookupPort(psm l2cap.PSM) (ServicePort, bool) {
 	return ServicePort{}, false
 }
 
+// channel returns the open channel whose local endpoint is cid, or nil.
+func (d *Device) channel(cid l2cap.CID) *channel {
+	for _, ch := range d.channels {
+		if ch.localCID == cid {
+			return ch
+		}
+	}
+	return nil
+}
+
 func (d *Device) remoteCIDInUse(cid l2cap.CID) bool {
 	for _, ch := range d.channels {
 		if ch.remoteCID == cid {
@@ -744,7 +762,7 @@ func (d *Device) anyConfigJobChannel() *channel {
 }
 
 func (d *Device) newChannel(psm l2cap.PSM, remote l2cap.CID) *channel {
-	for d.channels[d.nextCID] != nil {
+	for d.channel(d.nextCID) != nil {
 		d.nextCID++
 		if d.nextCID < l2cap.CIDDynamicFirst {
 			d.nextCID = l2cap.CIDDynamicFirst
@@ -756,7 +774,7 @@ func (d *Device) newChannel(psm l2cap.PSM, remote l2cap.CID) *channel {
 		remoteCID: remote,
 		psm:       psm,
 	}
-	d.channels[ch.localCID] = ch
+	d.channels = append(d.channels, ch)
 	d.nextCID++
 	if d.nextCID < l2cap.CIDDynamicFirst {
 		d.nextCID = l2cap.CIDDynamicFirst
@@ -766,7 +784,7 @@ func (d *Device) newChannel(psm l2cap.PSM, remote l2cap.CID) *channel {
 
 func (d *Device) closeChannel(ch *channel) {
 	d.closedMachines = append(d.closedMachines, ch.m)
-	delete(d.channels, ch.localCID)
+	d.channels = slices.DeleteFunc(d.channels, func(c *channel) bool { return c == ch })
 }
 
 // maybeSendOwnConfig emits the stack's own Configuration Request when the
@@ -839,11 +857,21 @@ func (d *Device) Medium() *radio.Medium { return d.medium }
 
 // HandlerCoverage returns the per-handler invocation counts since
 // construction: the simulated analogue of the limited code-coverage
-// measurement §V cites Frankenstein for. The returned map is a copy.
+// measurement §V cites Frankenstein for. Keys are command names plus
+// "SDP", "RFCOMM" and "undecodable"; handlers never invoked are absent.
+// The map is built on each call and is the caller's to keep.
 func (d *Device) HandlerCoverage() map[string]int {
-	out := make(map[string]int, len(d.handlerHits))
-	for k, v := range d.handlerHits {
-		out[k] = v
+	out := make(map[string]int)
+	add := func(name string, n int) {
+		if n > 0 {
+			out[name] = n
+		}
 	}
+	for code, n := range d.cmdHits {
+		add(l2cap.CommandCode(code).String(), n)
+	}
+	add("SDP", d.sdpHits)
+	add("RFCOMM", d.rfcommHits)
+	add("undecodable", d.undecodableHits)
 	return out
 }

@@ -1,8 +1,10 @@
 package hci
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"l2fuzz/internal/bt/radio"
 )
@@ -33,8 +35,10 @@ type Controller struct {
 	// before the next fragment overwrites it.
 	txScratch []byte
 
-	byHandle map[ConnHandle]*link
-	byPeer   map[radio.BDAddr]*link
+	// links holds the live baseband links. A controller has one link per
+	// peer and a rig has one peer, so lookups by handle or by peer scan
+	// this slice rather than hash on every fragment.
+	links []*link
 
 	// receiver gets complete L2CAP frames from the host side.
 	receiver func(h ConnHandle, peer radio.BDAddr, l2capFrame []byte)
@@ -83,8 +87,6 @@ func NewController(m *radio.Medium, cfg Config) (*Controller, error) {
 		connectable:   cfg.Connectable,
 		aclBufSize:    cfg.ACLBufferSize,
 		nextHandle:    0x0001,
-		byHandle:      make(map[ConnHandle]*link),
-		byPeer:        make(map[radio.BDAddr]*link),
 	}
 	if c.aclBufSize <= 0 {
 		c.aclBufSize = DefaultACLBufferSize
@@ -104,9 +106,29 @@ var (
 // (the peer dropped the link or vanished), equivalent to a Disconnection
 // Complete event.
 func (c *Controller) LinkDown(peer radio.BDAddr) {
-	if l, ok := c.byPeer[peer]; ok {
+	if l := c.linkTo(peer); l != nil {
 		c.removeLink(l)
 	}
+}
+
+// linkTo returns the live link to peer, or nil.
+func (c *Controller) linkTo(peer radio.BDAddr) *link {
+	for _, l := range c.links {
+		if l.peer == peer {
+			return l
+		}
+	}
+	return nil
+}
+
+// linkOf returns the live link behind handle h, or nil.
+func (c *Controller) linkOf(h ConnHandle) *link {
+	for _, l := range c.links {
+		if l.handle == h {
+			return l
+		}
+	}
+	return nil
 }
 
 // Address implements radio.Endpoint.
@@ -146,19 +168,19 @@ func (c *Controller) Inquiry() []radio.InquiryResult {
 
 // Connect pages the peer and allocates a connection handle.
 func (c *Controller) Connect(peer radio.BDAddr) (ConnHandle, error) {
-	if _, dup := c.byPeer[peer]; dup {
+	if c.linkTo(peer) != nil {
 		return 0, fmt.Errorf("%w: %v", ErrAlreadyConnected, peer)
 	}
 	if err := c.medium.Page(c.addr, peer); err != nil {
 		return 0, fmt.Errorf("page %v: %w", peer, err)
 	}
-	return c.addLink(peer), nil
+	return c.addLink(peer).handle, nil
 }
 
 // Disconnect drops the link behind the handle.
 func (c *Controller) Disconnect(h ConnHandle) error {
-	l, ok := c.byHandle[h]
-	if !ok {
+	l := c.linkOf(h)
+	if l == nil {
 		return fmt.Errorf("%w: %v", ErrNoSuchHandle, h)
 	}
 	c.medium.Drop(c.addr, l.peer)
@@ -168,14 +190,13 @@ func (c *Controller) Disconnect(h ConnHandle) error {
 
 // Connected reports whether a handle is live.
 func (c *Controller) Connected(h ConnHandle) bool {
-	_, ok := c.byHandle[h]
-	return ok
+	return c.linkOf(h) != nil
 }
 
 // HandleFor returns the handle of an existing link to peer.
 func (c *Controller) HandleFor(peer radio.BDAddr) (ConnHandle, bool) {
-	l, ok := c.byPeer[peer]
-	if !ok {
+	l := c.linkTo(peer)
+	if l == nil {
 		return 0, false
 	}
 	return l.handle, true
@@ -185,8 +206,8 @@ func (c *Controller) HandleFor(peer radio.BDAddr) (ConnHandle, bool) {
 // across the medium. Fragmentation happens in place against a reused
 // scratch buffer, so steady-state sends do not allocate.
 func (c *Controller) SendL2CAP(h ConnHandle, l2capFrame []byte) error {
-	l, ok := c.byHandle[h]
-	if !ok {
+	l := c.linkOf(h)
+	if l == nil {
 		return fmt.Errorf("%w: %v", ErrNoSuchHandle, h)
 	}
 	boundary := BoundaryFirstFlushable
@@ -212,14 +233,14 @@ func (c *Controller) ReceiveFrame(from radio.BDAddr, data []byte) {
 	if err != nil {
 		return // malformed baseband frames are dropped silently, as hardware does
 	}
-	l, ok := c.byPeer[from]
-	if !ok {
+	l := c.linkTo(from)
+	if l == nil {
 		// Implicit link acceptance: the peer paged us and this is the
 		// first traffic. Accept if we are connectable.
 		if !c.connectable {
 			return
 		}
-		l = c.acceptLink(from)
+		l = c.addLink(from)
 	}
 	frame, done, err := l.reassembly.Push(pkt)
 	if err != nil || !done {
@@ -233,18 +254,12 @@ func (c *Controller) ReceiveFrame(from radio.BDAddr, data []byte) {
 // Peers returns the addresses of all live links, in ascending handle
 // order (deterministic).
 func (c *Controller) Peers() []radio.BDAddr {
-	handles := make([]ConnHandle, 0, len(c.byHandle))
-	for h := range c.byHandle {
-		handles = append(handles, h)
-	}
-	for i := 1; i < len(handles); i++ {
-		for j := i; j > 0 && handles[j] < handles[j-1]; j-- {
-			handles[j], handles[j-1] = handles[j-1], handles[j]
-		}
-	}
-	peers := make([]radio.BDAddr, len(handles))
-	for i, h := range handles {
-		peers[i] = c.byHandle[h].peer
+	links := slices.SortedFunc(slices.Values(c.links), func(a, b *link) int {
+		return cmp.Compare(a.handle, b.handle)
+	})
+	peers := make([]radio.BDAddr, len(links))
+	for i, l := range links {
+		peers[i] = l.peer
 	}
 	return peers
 }
@@ -252,7 +267,7 @@ func (c *Controller) Peers() []radio.BDAddr {
 // DropPeer tears down the link to peer, notifying the host. Used by the
 // device model to simulate crashes that kill the Bluetooth service.
 func (c *Controller) DropPeer(peer radio.BDAddr) {
-	if l, ok := c.byPeer[peer]; ok {
+	if l := c.linkTo(peer); l != nil {
 		c.medium.Drop(c.addr, peer)
 		c.removeLink(l)
 	}
@@ -264,31 +279,25 @@ func (c *Controller) SetConnectable(v bool) { c.connectable = v }
 // SetDiscoverable flips inquiry visibility at runtime.
 func (c *Controller) SetDiscoverable(v bool) { c.discoverable = v }
 
-func (c *Controller) addLink(peer radio.BDAddr) ConnHandle {
+func (c *Controller) addLink(peer radio.BDAddr) *link {
 	h := c.nextHandle
 	c.nextHandle++
 	if c.nextHandle > MaxConnHandle {
 		c.nextHandle = 0x0001
 	}
 	l := &link{handle: h, peer: peer}
-	c.byHandle[h] = l
-	c.byPeer[peer] = l
-	return h
-}
-
-func (c *Controller) acceptLink(peer radio.BDAddr) *link {
-	h := c.addLink(peer)
-	return c.byHandle[h]
+	c.links = append(c.links, l)
+	return l
 }
 
 // removeLink is idempotent: a link can be torn down both by a local
 // Disconnect and by the medium's LinkDown notification.
 func (c *Controller) removeLink(l *link) {
-	if _, ok := c.byHandle[l.handle]; !ok {
+	i := slices.Index(c.links, l)
+	if i < 0 {
 		return
 	}
-	delete(c.byHandle, l.handle)
-	delete(c.byPeer, l.peer)
+	c.links = slices.Delete(c.links, i, i+1)
 	if c.disconnected != nil {
 		c.disconnected(l.handle, l.peer)
 	}

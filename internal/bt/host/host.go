@@ -14,6 +14,7 @@ package host
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"l2fuzz/internal/bt/hci"
 	"l2fuzz/internal/bt/l2cap"
@@ -38,7 +39,9 @@ type Client struct {
 	ctrl   *hci.Controller
 	medium *radio.Medium
 
-	handles  map[radio.BDAddr]hci.ConnHandle
+	// links holds one entry per paged peer. A tester talks to one target
+	// at a time, so sends find their handle by scanning this slice.
+	links    []peerLink
 	nextID   uint8
 	nextCID  l2cap.CID
 	recorder *TraceRecorder
@@ -60,6 +63,22 @@ type Client struct {
 	echo      l2cap.EchoReq // Ping's reused request
 }
 
+// peerLink is one paged peer and the controller handle of its link.
+type peerLink struct {
+	peer   radio.BDAddr
+	handle hci.ConnHandle
+}
+
+// handle returns the controller handle of the link to peer.
+func (c *Client) handle(peer radio.BDAddr) (hci.ConnHandle, bool) {
+	for _, l := range c.links {
+		if l.peer == peer {
+			return l.handle, true
+		}
+	}
+	return 0, false
+}
+
 // pingData is the constant Echo Request payload Ping sends ("ping").
 var pingData = []byte{0x70, 0x69, 0x6E, 0x67}
 
@@ -67,7 +86,6 @@ var pingData = []byte{0x70, 0x69, 0x6E, 0x67}
 func NewClient(m *radio.Medium, addr radio.BDAddr, name string) (*Client, error) {
 	c := &Client{
 		medium:  m,
-		handles: make(map[radio.BDAddr]hci.ConnHandle),
 		nextID:  1,
 		nextCID: l2cap.CIDDynamicFirst,
 	}
@@ -103,14 +121,14 @@ func (c *Client) Inquiry() []radio.InquiryResult { return c.ctrl.Inquiry() }
 
 // Connect pages the peer if no link exists yet.
 func (c *Client) Connect(peer radio.BDAddr) error {
-	if _, ok := c.handles[peer]; ok {
+	if _, ok := c.handle(peer); ok {
 		return nil
 	}
 	h, err := c.ctrl.Connect(peer)
 	if err != nil {
 		return fmt.Errorf("connect %v: %w", peer, err)
 	}
-	c.handles[peer] = h
+	c.links = append(c.links, peerLink{peer: peer, handle: h})
 	if c.recorder != nil {
 		// Only a successful page changes peer-visible state; failed
 		// attempts leave nothing for a replay to redo.
@@ -121,7 +139,7 @@ func (c *Client) Connect(peer radio.BDAddr) error {
 
 // Connected reports whether a live link to peer exists.
 func (c *Client) Connected(peer radio.BDAddr) bool {
-	h, ok := c.handles[peer]
+	h, ok := c.handle(peer)
 	return ok && c.ctrl.Connected(h)
 }
 
@@ -131,7 +149,7 @@ func (c *Client) Disconnect(peer radio.BDAddr) {
 	if c.recorder != nil {
 		c.recorder.record(TraceOp{Kind: TraceDisconnect})
 	}
-	delete(c.handles, peer)
+	c.links = slices.DeleteFunc(c.links, func(l peerLink) bool { return l.peer == peer })
 	if h, ok := c.ctrl.HandleFor(peer); ok {
 		_ = c.ctrl.Disconnect(h)
 	}
@@ -165,7 +183,7 @@ func (c *Client) Send(peer radio.BDAddr, pkt l2cap.Packet) error {
 	// The handle check also lives in SendRaw; repeating it here skips
 	// the marshal on link-less sends, which fuzzers hit in bursts while
 	// hammering an already-dead target between liveness probes.
-	if _, ok := c.handles[peer]; !ok {
+	if _, ok := c.handle(peer); !ok {
 		return fmt.Errorf("%w: %v", ErrNotConnected, peer)
 	}
 	c.txWire = pkt.AppendTo(c.txWire[:0])

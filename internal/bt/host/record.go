@@ -118,7 +118,7 @@ func (c *Client) Recorder() *TraceRecorder { return c.recorder }
 // exactly as captured, byte for byte, with no re-encode step that could
 // normalise away the malformations the trace exists to reproduce.
 func (c *Client) SendRaw(peer radio.BDAddr, wire []byte) error {
-	h, ok := c.handles[peer]
+	h, ok := c.handle(peer)
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNotConnected, peer)
 	}

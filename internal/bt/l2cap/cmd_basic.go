@@ -1,9 +1,6 @@
 package l2cap
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Compile-time interface compliance for every command type.
 var (
@@ -32,7 +29,7 @@ func getU16(src []byte, off int) uint16 {
 
 func wantLen(code CommandCode, data []byte, exact int) error {
 	if len(data) != exact {
-		return fmt.Errorf("%w: %v wants %d data bytes, got %d",
+		return errorf("%w: %v wants %d data bytes, got %d",
 			ErrBadCommand, code, exact, len(data))
 	}
 	return nil
@@ -40,7 +37,7 @@ func wantLen(code CommandCode, data []byte, exact int) error {
 
 func wantMinLen(code CommandCode, data []byte, minimum int) error {
 	if len(data) < minimum {
-		return fmt.Errorf("%w: %v wants at least %d data bytes, got %d",
+		return errorf("%w: %v wants at least %d data bytes, got %d",
 			ErrBadCommand, code, minimum, len(data))
 	}
 	return nil
@@ -79,12 +76,12 @@ func (c *CommandReject) UnmarshalData(data []byte) error {
 	switch c.Reason {
 	case RejectSignalingMTUExceeded:
 		if len(c.ReasonData) != 2 {
-			return fmt.Errorf("%w: MTU-exceeded reject wants 2 reason bytes, got %d",
+			return errorf("%w: MTU-exceeded reject wants 2 reason bytes, got %d",
 				ErrBadCommand, len(c.ReasonData))
 		}
 	case RejectInvalidCID:
 		if len(c.ReasonData) != 4 {
-			return fmt.Errorf("%w: invalid-CID reject wants 4 reason bytes, got %d",
+			return errorf("%w: invalid-CID reject wants 4 reason bytes, got %d",
 				ErrBadCommand, len(c.ReasonData))
 		}
 	}
@@ -225,7 +222,7 @@ func (c *ConfigurationReq) UnmarshalData(data []byte) error {
 	c.Flags = getU16(data, 2)
 	opts, err := AppendParsedOptions(c.Options[:0], data[4:])
 	if err != nil {
-		return fmt.Errorf("%v options: %w", CodeConfigurationReq, err)
+		return errorf("%v options: %w", CodeConfigurationReq, err)
 	}
 	c.Options = opts
 	return nil
@@ -272,7 +269,7 @@ func (c *ConfigurationRsp) UnmarshalData(data []byte) error {
 	c.Result = ConfigResult(getU16(data, 4))
 	opts, err := AppendParsedOptions(c.Options[:0], data[6:])
 	if err != nil {
-		return fmt.Errorf("%v options: %w", CodeConfigurationRsp, err)
+		return errorf("%v options: %w", CodeConfigurationRsp, err)
 	}
 	c.Options = opts
 	return nil

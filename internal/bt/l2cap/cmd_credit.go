@@ -1,7 +1,5 @@
 package l2cap
 
-import "fmt"
-
 var (
 	_ Command = (*ConnParamUpdateReq)(nil)
 	_ Command = (*ConnParamUpdateRsp)(nil)
@@ -282,12 +280,12 @@ func marshalCIDs(dst []byte, cids []CID) []byte {
 // command.
 func unmarshalCIDs(code CommandCode, data []byte) ([]CID, error) {
 	if len(data)%2 != 0 {
-		return nil, fmt.Errorf("%w: %v CID list has odd length %d",
+		return nil, errorf("%w: %v CID list has odd length %d",
 			ErrBadCommand, code, len(data))
 	}
 	n := len(data) / 2
 	if n > maxECREDChannels {
-		return nil, fmt.Errorf("%w: %v carries %d CIDs, max %d",
+		return nil, errorf("%w: %v carries %d CIDs, max %d",
 			ErrBadCommand, code, n, maxECREDChannels)
 	}
 	cids := make([]CID, n)

@@ -70,10 +70,9 @@ func (c CommandCode) IsRequest() bool {
 	}
 }
 
-// commandCodeNames is built once: String sits on the device's per-packet
-// dispatch path (handler-coverage accounting), where a map literal per
-// call dominated the farm's allocation profile.
-var commandCodeNames = map[CommandCode]string{
+// commandCodeNames is indexed by code; undefined codes hold "". An array
+// rather than a map keeps String free of hashing wherever it is called.
+var commandCodeNames = [256]string{
 	CodeCommandReject:         "CommandReject",
 	CodeConnectionReq:         "ConnectionReq",
 	CodeConnectionRsp:         "ConnectionRsp",
@@ -103,7 +102,7 @@ var commandCodeNames = map[CommandCode]string{
 }
 
 func (c CommandCode) String() string {
-	if n, ok := commandCodeNames[c]; ok {
+	if n := commandCodeNames[c]; n != "" {
 		return n
 	}
 	return fmt.Sprintf("CommandCode(0x%02X)", uint8(c))

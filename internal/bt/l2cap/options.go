@@ -1,7 +1,5 @@
 package l2cap
 
-import "fmt"
-
 // OptionType identifies a configuration option carried by Configuration
 // Request/Response commands (Vol 3 Part A §5). In the paper's field
 // classification all option payloads are mutable-application (MA) fields
@@ -119,14 +117,14 @@ func AppendParsedOptions(dst []ConfigOption, data []byte) ([]ConfigOption, error
 	off := 0
 	for off < len(data) {
 		if len(data)-off < 2 {
-			return dst, fmt.Errorf("%w: truncated option header at offset %d",
+			return dst, errorf("%w: truncated option header at offset %d",
 				ErrBadCommand, off)
 		}
 		t := OptionType(data[off])
 		n := int(data[off+1])
 		off += 2
 		if n > len(data)-off {
-			return dst, fmt.Errorf("%w: option 0x%02X length %d overruns payload",
+			return dst, errorf("%w: option 0x%02X length %d overruns payload",
 				ErrBadCommand, uint8(t), n)
 		}
 		opts = append(opts, ConfigOption{

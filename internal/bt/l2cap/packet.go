@@ -3,7 +3,6 @@ package l2cap
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 )
 
 // Binary layout constants for the L2CAP basic frame (paper Figure 3).
@@ -139,7 +138,7 @@ func UnmarshalPacket(raw []byte) (Packet, error) {
 // validation rules match UnmarshalPacket.
 func ParsePacket(raw []byte) (Packet, error) {
 	if len(raw) < HeaderSize {
-		return Packet{}, fmt.Errorf("%w: got %d bytes", ErrShortPacket, len(raw))
+		return Packet{}, shortError(ErrShortPacket, len(raw))
 	}
 	p := Packet{
 		Length:    binary.LittleEndian.Uint16(raw[0:2]),
@@ -147,8 +146,7 @@ func ParsePacket(raw []byte) (Packet, error) {
 		Payload:   raw[HeaderSize:],
 	}
 	if int(p.Length) > len(p.Payload) {
-		return Packet{}, fmt.Errorf("%w: declared %d, available %d",
-			ErrLengthMismatch, p.Length, len(p.Payload))
+		return Packet{}, overrunError(ErrLengthMismatch, int(p.Length), len(p.Payload))
 	}
 	return p, nil
 }

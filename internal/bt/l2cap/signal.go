@@ -1,9 +1,6 @@
 package l2cap
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Frame is one signaling command as carried on the signaling channel:
 // a 4-byte command header (code, identifier, data length) followed by the
@@ -48,7 +45,7 @@ func (f Frame) Marshal() []byte {
 // lifetime must copy both slices.
 func UnmarshalFrame(payload []byte) (Frame, error) {
 	if len(payload) < SignalHeaderSize {
-		return Frame{}, fmt.Errorf("%w: got %d bytes", ErrShortCommand, len(payload))
+		return Frame{}, shortError(ErrShortCommand, len(payload))
 	}
 	f := Frame{
 		Code:       CommandCode(payload[0]),
@@ -57,8 +54,7 @@ func UnmarshalFrame(payload []byte) (Frame, error) {
 	dataLen := int(binary.LittleEndian.Uint16(payload[2:4]))
 	rest := payload[SignalHeaderSize:]
 	if dataLen > len(rest) {
-		return Frame{}, fmt.Errorf("%w: declared %d, available %d",
-			ErrDataLength, dataLen, len(rest))
+		return Frame{}, overrunError(ErrDataLength, dataLen, len(rest))
 	}
 	f.Data = rest[:dataLen:dataLen]
 	f.Tail = rest[dataLen:]
@@ -89,7 +85,7 @@ func AppendSignals(dst []Frame, payload []byte) ([]Frame, error) {
 		rest := payload[off:]
 		if len(rest) < SignalHeaderSize {
 			if len(dst) == base {
-				return dst[:base], fmt.Errorf("%w: got %d bytes", ErrShortCommand, len(rest))
+				return dst[:base], shortError(ErrShortCommand, len(rest))
 			}
 			last := &dst[len(dst)-1]
 			last.Tail = appendTail(last.Tail, payload, off)
@@ -98,8 +94,7 @@ func AppendSignals(dst []Frame, payload []byte) ([]Frame, error) {
 		dataLen := int(binary.LittleEndian.Uint16(rest[2:4]))
 		if SignalHeaderSize+dataLen > len(rest) {
 			if len(dst) == base {
-				return dst[:base], fmt.Errorf("%w: declared %d, available %d",
-					ErrDataLength, dataLen, len(rest)-SignalHeaderSize)
+				return dst[:base], overrunError(ErrDataLength, dataLen, len(rest)-SignalHeaderSize)
 			}
 			last := &dst[len(dst)-1]
 			last.Tail = appendTail(last.Tail, payload, off)
@@ -228,7 +223,7 @@ func newCommand(code CommandCode) (Command, error) {
 	case CodeCreditBasedReconfRsp:
 		return &CreditBasedReconfRsp{}, nil
 	default:
-		return nil, fmt.Errorf("%w: 0x%02X", ErrUnknownCode, uint8(code))
+		return nil, unknownCodeError(code)
 	}
 }
 
@@ -241,7 +236,7 @@ func DecodeCommand(f Frame) (Command, error) {
 		return nil, err
 	}
 	if err := cmd.UnmarshalData(f.Data); err != nil {
-		return nil, fmt.Errorf("decode %v: %w", f.Code, err)
+		return nil, errorf("decode %v: %w", f.Code, err)
 	}
 	return cmd, nil
 }
@@ -270,7 +265,7 @@ func (d *Decoder) Decode(f Frame) (Command, error) {
 		cmd = fresh
 	}
 	if err := cmd.UnmarshalData(f.Data); err != nil {
-		return nil, fmt.Errorf("decode %v: %w", f.Code, err)
+		return nil, errorf("decode %v: %w", f.Code, err)
 	}
 	return cmd, nil
 }

@@ -3,6 +3,7 @@ package radio
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -94,11 +95,16 @@ func DefaultTiming() Timing {
 
 // Medium is the in-memory radio. It is not safe for concurrent use: the
 // simulation is single-threaded by design (see package doc).
+//
+// A medium holds a handful of endpoints (one tester and its targets) and
+// fewer links, so both live in small slices scanned linearly: every
+// carried frame resolves its endpoint and link by comparing a few
+// addresses, with no hashing on the packet path.
 type Medium struct {
 	clock     *Clock
 	timing    Timing
-	endpoints map[BDAddr]Endpoint
-	links     map[linkKey]struct{}
+	endpoints []registered
+	links     []link
 	taps      []Tap
 
 	// FaultEveryN, when positive, drops every Nth carried frame —
@@ -108,18 +114,29 @@ type Medium struct {
 	carried     int
 }
 
-type linkKey struct{ a, b BDAddr }
+// registered is one endpoint on the medium under its address.
+type registered struct {
+	addr BDAddr
+	ep   Endpoint
+}
 
-func orderedKey(x, y BDAddr) linkKey {
-	for i := range x {
-		if x[i] < y[i] {
-			return linkKey{a: x, b: y}
-		}
-		if x[i] > y[i] {
-			return linkKey{a: y, b: x}
+// link is one baseband link. Links are undirected: a and b are the
+// endpoints in page order.
+type link struct{ a, b BDAddr }
+
+// joins reports whether the link connects x and y, in either order.
+func (l link) joins(x, y BDAddr) bool {
+	return (l.a == x && l.b == y) || (l.a == y && l.b == x)
+}
+
+// linkIndex returns the position of the link between x and y, or -1.
+func (m *Medium) linkIndex(x, y BDAddr) int {
+	for i, l := range m.links {
+		if l.joins(x, y) {
+			return i
 		}
 	}
-	return linkKey{a: x, b: y}
+	return -1
 }
 
 // NewMedium creates a medium over the given clock. A nil clock gets a
@@ -128,12 +145,17 @@ func NewMedium(clock *Clock, timing Timing) *Medium {
 	if clock == nil {
 		clock = &Clock{}
 	}
-	return &Medium{
-		clock:     clock,
-		timing:    timing,
-		endpoints: make(map[BDAddr]Endpoint),
-		links:     make(map[linkKey]struct{}),
+	return &Medium{clock: clock, timing: timing}
+}
+
+// endpoint returns the endpoint registered at addr, or nil.
+func (m *Medium) endpoint(addr BDAddr) Endpoint {
+	for i := range m.endpoints {
+		if m.endpoints[i].addr == addr {
+			return m.endpoints[i].ep
+		}
 	}
+	return nil
 }
 
 // Clock exposes the medium's clock.
@@ -142,10 +164,10 @@ func (m *Medium) Clock() *Clock { return m.clock }
 // Register adds an endpoint to the medium.
 func (m *Medium) Register(ep Endpoint) error {
 	addr := ep.Address()
-	if _, exists := m.endpoints[addr]; exists {
+	if m.endpoint(addr) != nil {
 		return fmt.Errorf("%w: %v", ErrDuplicateAddress, addr)
 	}
-	m.endpoints[addr] = ep
+	m.endpoints = append(m.endpoints, registered{addr: addr, ep: ep})
 	return nil
 }
 
@@ -153,16 +175,28 @@ func (m *Medium) Register(ep Endpoint) error {
 // links and notifying the surviving peers. Removing an absent address is
 // a no-op.
 func (m *Medium) Unregister(addr BDAddr) {
-	delete(m.endpoints, addr)
-	for k := range m.links {
-		if k.a != addr && k.b != addr {
-			continue
+	for i := range m.endpoints {
+		if m.endpoints[i].addr == addr {
+			m.endpoints = slices.Delete(m.endpoints, i, i+1)
+			break
 		}
-		delete(m.links, k)
-		peer := k.a
-		if peer == addr {
-			peer = k.b
+	}
+	// Tear every link down before notifying anyone: an observer may
+	// call back into the medium.
+	var peers []BDAddr
+	kept := m.links[:0]
+	for _, l := range m.links {
+		switch addr {
+		case l.a:
+			peers = append(peers, l.b)
+		case l.b:
+			peers = append(peers, l.a)
+		default:
+			kept = append(kept, l)
 		}
+	}
+	m.links = kept
+	for _, peer := range peers {
 		m.notifyLinkDown(peer, addr)
 	}
 }
@@ -177,11 +211,11 @@ func (m *Medium) AddTap(t Tap) { m.taps = append(m.taps, t) }
 func (m *Medium) Inquiry(origin BDAddr) []InquiryResult {
 	m.clock.Advance(m.timing.InquiryDelay)
 	var results []InquiryResult
-	for _, ep := range m.endpoints {
-		if ep.Address() == origin {
+	for _, reg := range m.endpoints {
+		if reg.addr == origin {
 			continue
 		}
-		if r, ok := ep.Discoverable(); ok {
+		if r, ok := reg.ep.Discoverable(); ok {
 			results = append(results, r)
 		}
 	}
@@ -209,25 +243,26 @@ func lessAddr(x, y BDAddr) bool {
 
 // Page establishes a baseband link from initiator to target.
 func (m *Medium) Page(initiator, target BDAddr) error {
-	ep, ok := m.endpoints[target]
-	if !ok {
+	ep := m.endpoint(target)
+	if ep == nil {
 		return fmt.Errorf("%w: %v", ErrUnknownAddress, target)
 	}
-	if _, ok := m.endpoints[initiator]; !ok {
+	if m.endpoint(initiator) == nil {
 		return fmt.Errorf("%w: %v", ErrUnknownAddress, initiator)
 	}
 	if !ep.Connectable() {
 		return fmt.Errorf("%w: %v", ErrNotConnectable, target)
 	}
 	m.clock.Advance(m.timing.PageDelay)
-	m.links[orderedKey(initiator, target)] = struct{}{}
+	if m.linkIndex(initiator, target) < 0 {
+		m.links = append(m.links, link{a: initiator, b: target})
+	}
 	return nil
 }
 
 // Linked reports whether a baseband link exists between the endpoints.
 func (m *Medium) Linked(x, y BDAddr) bool {
-	_, ok := m.links[orderedKey(x, y)]
-	return ok
+	return m.linkIndex(x, y) >= 0
 }
 
 // LinkObserver is implemented by endpoints that want to hear about
@@ -241,17 +276,17 @@ type LinkObserver interface {
 // Drop tears down the baseband link between the endpoints, if any, and
 // notifies both sides.
 func (m *Medium) Drop(x, y BDAddr) {
-	key := orderedKey(x, y)
-	if _, ok := m.links[key]; !ok {
+	i := m.linkIndex(x, y)
+	if i < 0 {
 		return
 	}
-	delete(m.links, key)
+	m.links = slices.Delete(m.links, i, i+1)
 	m.notifyLinkDown(x, y)
 	m.notifyLinkDown(y, x)
 }
 
 func (m *Medium) notifyLinkDown(at, peer BDAddr) {
-	if ep, ok := m.endpoints[at]; ok {
+	if ep := m.endpoint(at); ep != nil {
 		if obs, ok := ep.(LinkObserver); ok {
 			obs.LinkDown(peer)
 		}
@@ -263,8 +298,8 @@ func (m *Medium) notifyLinkDown(at, peer BDAddr) {
 // vanished endpoints fail; deterministically-injected faults silently
 // drop the frame after the taps saw it.
 func (m *Medium) Carry(from, to BDAddr, data []byte) error {
-	ep, ok := m.endpoints[to]
-	if !ok {
+	ep := m.endpoint(to)
+	if ep == nil {
 		return fmt.Errorf("%w: %v", ErrUnknownAddress, to)
 	}
 	if !m.Linked(from, to) {

@@ -89,14 +89,29 @@ var jobOf = map[State]Job{
 	StateOpen: JobOpen,
 }
 
-// JobOf returns the job that state belongs to per Table I.
-func JobOf(state State) Job { return jobOf[state] }
+// jobTable is jobOf indexed by state, derived once so JobOf does not
+// hash; jobOf stays the single source.
+var jobTable = func() (t [NumStates + 1]Job) {
+	for s, j := range jobOf {
+		t[s] = j
+	}
+	return t
+}()
+
+// JobOf returns the job that state belongs to per Table I (zero for an
+// undefined state).
+func JobOf(state State) Job {
+	if int(state) >= len(jobTable) {
+		return 0
+	}
+	return jobTable[state]
+}
 
 // StatesOf returns the states belonging to job, in declaration order.
 func StatesOf(job Job) []State {
 	var out []State
 	for _, s := range AllStates() {
-		if jobOf[s] == job {
+		if JobOf(s) == job {
 			out = append(out, s)
 		}
 	}

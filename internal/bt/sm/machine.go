@@ -283,19 +283,35 @@ func buildTransitions() map[State]map[Event]Transition {
 	}
 }
 
+// transitionTable is the dense form of transitions, indexed by state and
+// event, that Lookup reads on every signaling command. It is derived from
+// transitions once, so the literal above stays the single source. A zero
+// entry is an invalid event: every real transition has a non-zero Action.
+var transitionTable = func() (t [NumStates + 1][EvLocalOpenReq + 1]Transition) {
+	for s, row := range transitions {
+		for e, tr := range row {
+			t[s][e] = tr
+		}
+	}
+	return t
+}()
+
 // Lookup returns the transition for (state, event); ok is false when the
 // event is invalid in that state, in which case a conformant stack
 // answers with a Command Reject.
 func Lookup(state State, event Event) (Transition, bool) {
-	t, ok := transitions[state][event]
-	return t, ok
+	if int(state) >= len(transitionTable) || int(event) >= len(transitionTable[0]) {
+		return Transition{}, false
+	}
+	t := transitionTable[state][event]
+	return t, t.Action != 0
 }
 
 // ValidEvents returns the events state accepts, in ascending order.
 func ValidEvents(state State) []Event {
 	var out []Event
 	for e := EvRecvConnectReq; e <= EvLocalOpenReq; e++ {
-		if _, ok := transitions[state][e]; ok {
+		if _, ok := Lookup(state, e); ok {
 			out = append(out, e)
 		}
 	}
@@ -308,14 +324,16 @@ func ValidEvents(state State) []Event {
 type Machine struct {
 	state State
 	// visited accumulates every state the machine has occupied, in first-
-	// visit order, for trace-based coverage measurement.
+	// visit order, for trace-based coverage measurement; seen holds the
+	// same states as a bit set (bit s for state s).
 	visited []State
+	seen    uint32
 }
 
 // NewMachine returns a machine resting in CLOSED.
 func NewMachine() *Machine {
 	m := &Machine{state: StateClosed}
-	m.visited = append(m.visited, StateClosed)
+	m.noteVisit(StateClosed)
 	return m
 }
 
@@ -330,6 +348,12 @@ func (m *Machine) Job() Job { return JobOf(m.state) }
 func (m *Machine) Visited() []State {
 	return append([]State(nil), m.visited...)
 }
+
+// VisitedSet returns the states the machine has occupied as a bit set:
+// bit s is set once the machine occupied the (valid) state s. Unlike
+// Visited it does not copy, so per-packet trace analysis can fold a
+// machine's history in without allocating.
+func (m *Machine) VisitedSet() uint32 { return m.seen }
 
 // Apply drives the machine with event. When the event is valid it returns
 // the transition taken; otherwise ok is false, the state is unchanged,
@@ -353,6 +377,7 @@ func (m *Machine) Force(state State) {
 }
 
 func (m *Machine) noteVisit(s State) {
+	m.seen |= 1 << s
 	for _, v := range m.visited {
 		if v == s {
 			return

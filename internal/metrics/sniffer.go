@@ -23,8 +23,9 @@ type SamplePoint struct {
 type Sniffer struct {
 	tester radio.BDAddr
 
-	// reassembly per (from,to) direction.
-	reasm map[dirKey]*hci.Reassembler
+	// reasm holds one reassembler per (from,to) direction: two per
+	// link, scanned linearly.
+	reasm []dirReasm
 
 	// counters
 	transmitted int
@@ -43,8 +44,11 @@ type Sniffer struct {
 
 	// allocation tracking: channel endpoints observed as legitimately
 	// allocated (device side and tester side), plus in-flight requests.
-	allocated map[l2cap.CID]bool
-	pendingTx map[uint8]l2cap.CommandCode // tester request id → code
+	allocated cidSet
+	// pendingTx maps a tester request's signaling identifier to its
+	// command code; 0 marks an identifier with no request in flight
+	// (decoded frames always carry a defined, non-zero code).
+	pendingTx [256]l2cap.CommandCode
 
 	// Reused decode scratch: taps never nest, so one of each suffices.
 	dec       l2cap.Decoder
@@ -52,26 +56,36 @@ type Sniffer struct {
 
 	// rejectedByCode correlates received Command Reject packets back to
 	// the command code of the tester request they answered (matched via
-	// pendingTx by signaling identifier). Rejects whose identifier
-	// matches no observed request land under code 0.
-	rejectedByCode map[l2cap.CommandCode]int
+	// pendingTx by signaling identifier), indexed by code. Rejects whose
+	// identifier matches no observed request land under code 0.
+	rejectedByCode [256]int
 
 	states *StateInferencer
 }
 
-type dirKey struct{ from, to radio.BDAddr }
+// dirReasm is the reassembler of one direction of one link.
+type dirReasm struct {
+	from, to radio.BDAddr
+	r        hci.Reassembler
+}
+
+// reassembler returns the reassembler for frames from → to, adding one
+// on the direction's first frame. The pointer is valid until the next
+// call.
+func (s *Sniffer) reassembler(from, to radio.BDAddr) *hci.Reassembler {
+	for i := range s.reasm {
+		if d := &s.reasm[i]; d.from == from && d.to == to {
+			return &d.r
+		}
+	}
+	s.reasm = append(s.reasm, dirReasm{from: from, to: to})
+	return &s.reasm[len(s.reasm)-1].r
+}
 
 // NewSniffer attaches a sniffer to the medium, observing traffic between
 // the tester and everything else.
 func NewSniffer(m *radio.Medium, tester radio.BDAddr) *Sniffer {
-	s := &Sniffer{
-		tester:         tester,
-		reasm:          make(map[dirKey]*hci.Reassembler),
-		allocated:      make(map[l2cap.CID]bool),
-		pendingTx:      make(map[uint8]l2cap.CommandCode),
-		rejectedByCode: make(map[l2cap.CommandCode]int),
-		states:         NewStateInferencer(),
-	}
+	s := &Sniffer{tester: tester, states: NewStateInferencer()}
 	m.AddTap(s.onFrame)
 	return s
 }
@@ -91,13 +105,7 @@ func (s *Sniffer) onFrame(f radio.TapFrame) {
 	if err != nil {
 		return
 	}
-	key := dirKey{from: f.From, to: f.To}
-	r := s.reasm[key]
-	if r == nil {
-		r = &hci.Reassembler{}
-		s.reasm[key] = r
-	}
-	frame, done, err := r.Push(acl)
+	frame, done, err := s.reassembler(f.From, f.To).Push(acl)
 	if err != nil || !done {
 		return
 	}
@@ -137,7 +145,7 @@ func (s *Sniffer) onTx(raw []byte) {
 			continue
 		}
 		s.pendingTx[fr.Identifier] = fr.Code
-		s.states.ObserveTx(fr, cmd, s.allocated)
+		s.states.ObserveTx(fr, cmd)
 		if !verdict && s.isMalformed(fr, cmd) {
 			s.malformed++
 			verdict = true
@@ -164,7 +172,7 @@ func (s *Sniffer) isMalformed(fr l2cap.Frame, cmd l2cap.Command) bool {
 		return false
 	}
 	for _, cid := range core.CIDs {
-		if !s.allocated[*cid] {
+		if !s.allocated.has(*cid) {
 			return true
 		}
 	}
@@ -210,10 +218,8 @@ func (s *Sniffer) onRx(raw []byte) {
 // correlateReject attributes one received Command Reject to the tester
 // request it answers, by signaling identifier.
 func (s *Sniffer) correlateReject(fr l2cap.Frame) {
-	code, ok := s.pendingTx[fr.Identifier]
-	if ok {
-		delete(s.pendingTx, fr.Identifier)
-	}
+	code := s.pendingTx[fr.Identifier]
+	s.pendingTx[fr.Identifier] = 0
 	s.rejectedByCode[code]++ // code is 0 for unmatched rejects
 }
 
@@ -222,13 +228,13 @@ func (s *Sniffer) trackAllocations(cmd l2cap.Command) {
 	switch rsp := cmd.(type) {
 	case *l2cap.ConnectionRsp:
 		if rsp.Result == l2cap.ConnResultSuccess {
-			s.allocated[rsp.DCID] = true
-			s.allocated[rsp.SCID] = true
+			s.allocated.add(rsp.DCID)
+			s.allocated.add(rsp.SCID)
 		}
 	case *l2cap.CreateChannelRsp:
 		if rsp.Result == l2cap.ConnResultSuccess {
-			s.allocated[rsp.DCID] = true
-			s.allocated[rsp.SCID] = true
+			s.allocated.add(rsp.DCID)
+			s.allocated.add(rsp.SCID)
 		}
 	}
 }
@@ -311,9 +317,11 @@ func (s *Sniffer) Summary() Summary {
 // the totals can exceed Summary.Rejections, which stays one verdict
 // per packet.
 func (s *Sniffer) RejectionsByCode() map[l2cap.CommandCode]int {
-	out := make(map[l2cap.CommandCode]int, len(s.rejectedByCode))
+	out := make(map[l2cap.CommandCode]int)
 	for code, n := range s.rejectedByCode {
-		out[code] = n
+		if n > 0 {
+			out[l2cap.CommandCode(code)] = n
+		}
 	}
 	return out
 }

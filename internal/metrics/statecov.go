@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"slices"
+
 	"l2fuzz/internal/bt/l2cap"
 	"l2fuzz/internal/bt/sm"
 )
@@ -29,51 +31,67 @@ type shadowChan struct {
 // had to occupy it to decide).
 type StateInferencer struct {
 	// byDevice indexes shadows by the device-side CID.
-	byDevice map[l2cap.CID]*shadowChan
+	byDevice cidTable
 	// byTester indexes shadows by the tester-side CID.
-	byTester map[l2cap.CID]*shadowChan
-	// pendingConn maps tester SCID → shadow awaiting a connect response.
-	pendingConn map[l2cap.CID]*shadowChan
+	byTester cidTable
+	// pendingConn holds the shadows awaiting a connect response, at most
+	// one per tester SCID. Targets answer connects in the same round, so
+	// it rarely holds more than one and is scanned linearly.
+	pendingConn []*shadowChan
 	// visited accumulates states across all shadows, including closed
-	// channels.
-	visited map[sm.State]bool
+	// channels: bit s is set once state s was visited.
+	visited uint32
 }
 
 // NewStateInferencer returns an empty inferencer.
 func NewStateInferencer() *StateInferencer {
-	return &StateInferencer{
-		byDevice:    make(map[l2cap.CID]*shadowChan),
-		byTester:    make(map[l2cap.CID]*shadowChan),
-		pendingConn: make(map[l2cap.CID]*shadowChan),
-		visited:     make(map[sm.State]bool),
-	}
+	return &StateInferencer{}
 }
 
 // drop removes a shadow from the indexes, absorbing its visit history.
 func (si *StateInferencer) drop(sc *shadowChan) {
 	si.absorb(sc.m)
-	delete(si.byDevice, sc.deviceCID)
-	delete(si.byTester, sc.testerCID)
+	si.byDevice.set(sc.deviceCID, nil)
+	si.byTester.set(sc.testerCID, nil)
 }
 
-// ObserveTx consumes one tester-to-target command. allocated is the
-// sniffer's current view of allocated endpoints (unused today; kept for
-// classifier symmetry).
-func (si *StateInferencer) ObserveTx(fr l2cap.Frame, cmd l2cap.Command, allocated map[l2cap.CID]bool) {
+// pendingIndex returns the position in pendingConn of the shadow awaiting
+// a response for tester SCID scid, or -1.
+func (si *StateInferencer) pendingIndex(scid l2cap.CID) int {
+	for i, sc := range si.pendingConn {
+		if sc.testerCID == scid {
+			return i
+		}
+	}
+	return -1
+}
+
+// addPending makes sc the shadow awaiting a response for its tester SCID,
+// replacing any earlier one.
+func (si *StateInferencer) addPending(sc *shadowChan) {
+	if i := si.pendingIndex(sc.testerCID); i >= 0 {
+		si.pendingConn[i] = sc
+		return
+	}
+	si.pendingConn = append(si.pendingConn, sc)
+}
+
+// ObserveTx consumes one tester-to-target command.
+func (si *StateInferencer) ObserveTx(fr l2cap.Frame, cmd l2cap.Command) {
 	switch c := cmd.(type) {
 	case *l2cap.ConnectionReq:
 		// The target enters WAIT_CONNECT while deciding.
 		sc := &shadowChan{m: sm.NewMachine(), testerCID: c.SCID}
 		sc.m.Apply(sm.EvRecvConnectReq)
-		si.pendingConn[c.SCID] = sc
+		si.addPending(sc)
 		si.absorb(sc.m)
 	case *l2cap.CreateChannelReq:
 		sc := &shadowChan{m: sm.NewMachine(), testerCID: c.SCID}
 		sc.m.Apply(sm.EvRecvCreateReq)
-		si.pendingConn[c.SCID] = sc
+		si.addPending(sc)
 		si.absorb(sc.m)
 	case *l2cap.ConfigurationReq:
-		if sc := si.byDevice[c.DCID]; sc != nil {
+		if sc := si.byDevice.get(c.DCID); sc != nil {
 			ev := sm.EvRecvConfigReq
 			if hasEFS(c.Options) {
 				ev = sm.EvRecvConfigReqEFS
@@ -84,12 +102,12 @@ func (si *StateInferencer) ObserveTx(fr l2cap.Frame, cmd l2cap.Command, allocate
 	case *l2cap.ConfigurationRsp:
 		// In a tester-sent response the SCID names the device-side
 		// endpoint.
-		if sc := si.byDevice[c.SCID]; sc != nil {
+		if sc := si.byDevice.get(c.SCID); sc != nil {
 			sc.m.Apply(sm.EvRecvConfigRsp)
 			si.absorb(sc.m)
 		}
 	case *l2cap.DisconnectionReq:
-		if sc := si.byDevice[c.DCID]; sc != nil {
+		if sc := si.byDevice.get(c.DCID); sc != nil {
 			if _, ok := sc.m.Apply(sm.EvRecvDisconnectReq); ok {
 				// OPEN channels pass through WAIT_DISCONNECT.
 				sc.m.Apply(sm.EvLocalAccept)
@@ -97,18 +115,17 @@ func (si *StateInferencer) ObserveTx(fr l2cap.Frame, cmd l2cap.Command, allocate
 			si.drop(sc)
 		}
 	case *l2cap.MoveChannelReq:
-		if sc := si.byDevice[c.ICID]; sc != nil {
+		if sc := si.byDevice.get(c.ICID); sc != nil {
 			sc.m.Apply(sm.EvRecvMoveReq)
 			si.absorb(sc.m)
 		}
 	case *l2cap.MoveChannelConfirmReq:
-		if sc := si.byDevice[c.ICID]; sc != nil {
+		if sc := si.byDevice.get(c.ICID); sc != nil {
 			sc.m.Apply(sm.EvRecvMoveConfirmReq)
 			si.absorb(sc.m)
 		}
 	default:
 	}
-	_ = allocated
 }
 
 // ObserveRx consumes one target-to-tester command.
@@ -121,7 +138,7 @@ func (si *StateInferencer) ObserveRx(fr l2cap.Frame, cmd l2cap.Command) {
 	case *l2cap.ConfigurationReq:
 		// The device proposing its own configuration: the request's DCID
 		// names the tester-side endpoint.
-		if sc := si.byTester[c.DCID]; sc != nil {
+		if sc := si.byTester.get(c.DCID); sc != nil {
 			sc.m.Apply(sm.EvLocalSendConfigReq)
 			si.absorb(sc.m)
 		}
@@ -129,7 +146,7 @@ func (si *StateInferencer) ObserveRx(fr l2cap.Frame, cmd l2cap.Command) {
 		// The SCID in a device-sent response names the tester-side
 		// endpoint. A final (non-pending) response completes lockstep
 		// configuration when the shadow is parked in WAIT_IND_FINAL_RSP.
-		if sc := si.byTester[c.SCID]; sc != nil {
+		if sc := si.byTester.get(c.SCID); sc != nil {
 			if c.Result != l2cap.ConfigPending && sc.m.State() == sm.StateWaitIndFinalRsp {
 				sc.m.Apply(sm.EvLocalFinalRsp)
 			}
@@ -137,7 +154,7 @@ func (si *StateInferencer) ObserveRx(fr l2cap.Frame, cmd l2cap.Command) {
 		}
 	case *l2cap.MoveChannelRsp:
 		if c.Result == l2cap.MoveResultSuccess {
-			if sc := si.byDevice[c.ICID]; sc != nil && sc.m.State() == sm.StateWaitMove {
+			if sc := si.byDevice.get(c.ICID); sc != nil && sc.m.State() == sm.StateWaitMove {
 				sc.m.Apply(sm.EvLocalAccept)
 				si.absorb(sc.m)
 			}
@@ -149,10 +166,11 @@ func (si *StateInferencer) ObserveRx(fr l2cap.Frame, cmd l2cap.Command) {
 
 // completeConnect resolves a pending connect/create against its response.
 func (si *StateInferencer) completeConnect(scid, dcid l2cap.CID, result l2cap.ConnResult) {
-	sc := si.pendingConn[scid]
-	if sc == nil {
+	i := si.pendingIndex(scid)
+	if i < 0 {
 		return
 	}
+	sc := si.pendingConn[i]
 	if result == l2cap.ConnResultPending {
 		// The target is still deciding (authorization pending): the
 		// channel stays in WAIT_CONNECT/WAIT_CREATE and the final
@@ -161,37 +179,35 @@ func (si *StateInferencer) completeConnect(scid, dcid l2cap.CID, result l2cap.Co
 		// post-connect state on the channel.
 		return
 	}
-	delete(si.pendingConn, scid)
+	si.pendingConn = slices.Delete(si.pendingConn, i, i+1)
 	if result != l2cap.ConnResultSuccess {
 		si.absorb(sc.m)
 		return
 	}
 	// A reused device CID means the old channel is gone (link loss the
 	// trace did not witness); retire the stale shadow first.
-	if old := si.byDevice[dcid]; old != nil {
+	if old := si.byDevice.get(dcid); old != nil {
 		si.drop(old)
 	}
-	if old := si.byTester[scid]; old != nil {
+	if old := si.byTester.get(scid); old != nil {
 		si.drop(old)
 	}
 	sc.m.Apply(sm.EvLocalAccept) // → WAIT_CONFIG
 	sc.deviceCID = dcid
-	si.byDevice[dcid] = sc
-	si.byTester[scid] = sc
+	si.byDevice.set(dcid, sc)
+	si.byTester.set(scid, sc)
 	si.absorb(sc.m)
 }
 
 func (si *StateInferencer) absorb(m *sm.Machine) {
-	for _, s := range m.Visited() {
-		si.visited[s] = true
-	}
+	si.visited |= m.VisitedSet()
 }
 
 // Visited returns the inferred visited states in declaration order.
 func (si *StateInferencer) Visited() []VisitedState {
 	var out []VisitedState
 	for _, s := range sm.AllStates() {
-		if si.visited[s] {
+		if si.visited&(1<<s) != 0 {
 			out = append(out, s)
 		}
 	}

@@ -28,7 +28,7 @@ func TestInferencerKeepsShadowThroughPendingConnect(t *testing.T) {
 		testerCID l2cap.CID = 0x0040
 		deviceCID l2cap.CID = 0x0041
 	)
-	si.ObserveTx(l2cap.Frame{}, &l2cap.ConnectionReq{PSM: l2cap.PSMAVDTP, SCID: testerCID}, nil)
+	si.ObserveTx(l2cap.Frame{}, &l2cap.ConnectionReq{PSM: l2cap.PSMAVDTP, SCID: testerCID})
 	// Authorization pending: the target is still deciding.
 	si.ObserveRx(l2cap.Frame{}, &l2cap.ConnectionRsp{SCID: testerCID, DCID: 0, Result: l2cap.ConnResultPending})
 	// The final decision arrives for the same SCID.
@@ -41,9 +41,9 @@ func TestInferencerKeepsShadowThroughPendingConnect(t *testing.T) {
 
 	// The channel must stay tracked: drive the configuration exchange to
 	// OPEN through the same shadow.
-	si.ObserveTx(l2cap.Frame{}, &l2cap.ConfigurationReq{DCID: deviceCID}, nil) // → WAIT_SEND_CONFIG
-	si.ObserveRx(l2cap.Frame{}, &l2cap.ConfigurationReq{DCID: testerCID})      // device proposes → WAIT_CONFIG_RSP
-	si.ObserveTx(l2cap.Frame{}, &l2cap.ConfigurationRsp{SCID: deviceCID}, nil) // → OPEN
+	si.ObserveTx(l2cap.Frame{}, &l2cap.ConfigurationReq{DCID: deviceCID}) // → WAIT_SEND_CONFIG
+	si.ObserveRx(l2cap.Frame{}, &l2cap.ConfigurationReq{DCID: testerCID}) // device proposes → WAIT_CONFIG_RSP
+	si.ObserveTx(l2cap.Frame{}, &l2cap.ConfigurationRsp{SCID: deviceCID}) // → OPEN
 
 	visited = visitedSet(si)
 	for _, want := range []sm.State{sm.StateWaitSendConfig, sm.StateWaitConfigRsp, sm.StateOpen} {
@@ -61,7 +61,7 @@ func TestInferencerKeepsShadowThroughPendingCreate(t *testing.T) {
 		testerCID l2cap.CID = 0x0044
 		deviceCID l2cap.CID = 0x0045
 	)
-	si.ObserveTx(l2cap.Frame{}, &l2cap.CreateChannelReq{PSM: l2cap.PSMAVDTP, SCID: testerCID}, nil)
+	si.ObserveTx(l2cap.Frame{}, &l2cap.CreateChannelReq{PSM: l2cap.PSMAVDTP, SCID: testerCID})
 	si.ObserveRx(l2cap.Frame{}, &l2cap.CreateChannelRsp{SCID: testerCID, DCID: 0, Result: l2cap.ConnResultPending})
 	si.ObserveRx(l2cap.Frame{}, &l2cap.CreateChannelRsp{SCID: testerCID, DCID: deviceCID, Result: l2cap.ConnResultSuccess})
 
@@ -77,7 +77,7 @@ func TestInferencerKeepsShadowThroughPendingCreate(t *testing.T) {
 func TestInferencerDropsShadowOnFinalRefusal(t *testing.T) {
 	si := NewStateInferencer()
 	const testerCID l2cap.CID = 0x0048
-	si.ObserveTx(l2cap.Frame{}, &l2cap.ConnectionReq{PSM: l2cap.PSMAVDTP, SCID: testerCID}, nil)
+	si.ObserveTx(l2cap.Frame{}, &l2cap.ConnectionReq{PSM: l2cap.PSMAVDTP, SCID: testerCID})
 	si.ObserveRx(l2cap.Frame{}, &l2cap.ConnectionRsp{SCID: testerCID, DCID: 0, Result: l2cap.ConnResultPending})
 	si.ObserveRx(l2cap.Frame{}, &l2cap.ConnectionRsp{SCID: testerCID, DCID: 0, Result: l2cap.ConnResultSecurityBlock})
 	// A bogus success after the final refusal must not resurrect it.

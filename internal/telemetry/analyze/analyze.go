@@ -154,11 +154,17 @@ type Run struct {
 	// Duration is the largest envelope offset in the journal — the
 	// run's observed wall extent on its own monotonic clock.
 	Duration time.Duration
+	// Truncated is nil unless the journal's final record was cut off
+	// mid-line (a farm killed while writing it). It then wraps
+	// telemetry.ErrTruncatedJournal, and the run holds every record
+	// before the torn one.
+	Truncated error
 }
 
 // Parse decodes a farm journal stream. The journal must open with a
 // farm header of a schema version this package reads; records the
-// figures do not consume (job-started, finding) are skipped.
+// figures do not consume (job-started, finding) are skipped. A torn
+// final record is not an error: the run is returned with Truncated set.
 func Parse(r io.Reader) (*Run, error) {
 	run := &Run{}
 	sawHeader := false
@@ -202,6 +208,9 @@ func Parse(r io.Reader) (*Run, error) {
 		}
 		return nil
 	})
+	if errors.Is(err, telemetry.ErrTruncatedJournal) {
+		run.Truncated, err = err, nil
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -204,12 +206,27 @@ func (j *Journal) StartSampler(c *Counters, every time.Duration) (stop func()) {
 // campaign's job result with a large summary stays far below this.
 const maxJournalLine = 16 << 20
 
+// ErrTruncatedJournal reports a journal whose final line was cut off
+// mid-record: the writer died (or the disk filled) before finishing it.
+// Every record before that line is complete and was delivered.
+var ErrTruncatedJournal = errors.New("telemetry: journal truncated mid-record")
+
 // DecodeJournal streams records out of a persisted journal, calling fn
 // for each line in order. fn returning an error stops the decode and
-// returns that error.
+// returns that error. A final line with no newline that does not decode
+// is a torn record: every record before it has been delivered, and the
+// returned error wraps ErrTruncatedJournal.
 func DecodeJournal(r io.Reader, fn func(Record) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxJournalLine)
+	// torn reports whether the last token scanned was a final line that
+	// the input ended before terminating.
+	torn := false
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		torn = atEOF && tok != nil && bytes.IndexByte(data[:adv], '\n') < 0
+		return adv, tok, err
+	})
 	line := 0
 	for sc.Scan() {
 		line++
@@ -219,6 +236,9 @@ func DecodeJournal(r io.Reader, fn func(Record) error) error {
 		}
 		var rec Record
 		if err := json.Unmarshal(raw, &rec); err != nil {
+			if torn {
+				return fmt.Errorf("%w: line %d: %w", ErrTruncatedJournal, line, err)
+			}
 			return fmt.Errorf("telemetry: journal line %d: %w", line, err)
 		}
 		if err := fn(rec); err != nil {
