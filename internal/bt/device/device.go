@@ -51,10 +51,14 @@ type Device struct {
 
 	// channels holds the open channels: at most the profile's
 	// MaxDynamicChannels, so lookups by CID scan the slice.
-	channels       []*channel
-	closedMachines []*sm.Machine // archived machines of closed channels
-	nextCID        l2cap.CID
-	nextSigID      uint8
+	channels []*channel
+	// closedSeen holds the states the machines of closed channels
+	// visited, as a bit set (bit s for state s); their channels wait in
+	// spare for newChannel to reuse.
+	closedSeen uint32
+	spare      []*channel
+	nextCID    l2cap.CID
+	nextSigID  uint8
 
 	serviceDown bool
 	poweredOff  bool
@@ -76,13 +80,36 @@ type Device struct {
 	// The device never receives while mid-send (the client's receive
 	// callback only enqueues), so one of each per device suffices.
 	dec       l2cap.Decoder
-	sigFrames []l2cap.Frame // AppendSignals scratch in onSignaling
+	sigFrames []l2cap.Frame // SplitSignals scratch in onSignaling
 	sigWire   []byte        // signaling payload built by sendCmd
 	txWire    []byte        // wire bytes of the frame being sent
+	rsp       replies
+}
+
+// replies holds the device's reply commands, one value per kind, refilled
+// in place for every reply. sendCmd marshals its command before it
+// returns, so a reply value is only valid until then: the same window
+// in which the decoder's commands are.
+type replies struct {
+	reject      l2cap.CommandReject
+	rejectData  []byte // reason data scratch of reject
+	echo        l2cap.EchoRsp
+	conn        l2cap.ConnectionRsp
+	create      l2cap.CreateChannelRsp
+	cfgReq      l2cap.ConfigurationReq
+	cfgRsp      l2cap.ConfigurationRsp
+	disc        l2cap.DisconnectionRsp
+	info        l2cap.InformationRsp
+	move        l2cap.MoveChannelRsp
+	moveConfirm l2cap.MoveChannelConfirmRsp
+	credit      l2cap.CreditBasedConnRsp
+	// ownConfig is the option list of the device's own Configuration
+	// Request, built on first use (the signaling MTU never changes).
+	ownConfig []l2cap.ConfigOption
 }
 
 type channel struct {
-	m         *sm.Machine
+	m         sm.Machine
 	localCID  l2cap.CID
 	remoteCID l2cap.CID
 	psm       l2cap.PSM
@@ -154,7 +181,7 @@ func New(m *radio.Medium, cfg Config) (*Device, error) {
 		// Baseband link loss tears down every L2CAP channel riding it
 		// (single-peer simulation: all channels belong to the link).
 		for _, ch := range d.channels {
-			d.closedMachines = append(d.closedMachines, ch.m)
+			d.retire(ch)
 		}
 		clear(d.channels)
 		d.channels = d.channels[:0]
@@ -197,7 +224,7 @@ func (d *Device) Reset() {
 	d.poweredOff = false
 	d.dump = nil
 	d.channels = nil
-	d.closedMachines = nil
+	d.closedSeen = 0
 	d.nextCID = l2cap.CIDDynamicFirst
 	d.cmdSeq = 0
 	d.sdpSrv = newSDPServer(d.ports, d.cfg)
@@ -216,26 +243,14 @@ func (d *Device) Reset() {
 // has occupied since the last Reset: the ground truth against which the
 // trace-inferred state coverage (Figure 10) can be validated.
 func (d *Device) StatesVisited() []sm.State {
-	seen := make(map[sm.State]bool)
-	var out []sm.State
-	note := func(states []sm.State) {
-		for _, s := range states {
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-	}
-	for _, m := range d.closedMachines {
-		note(m.Visited())
-	}
+	seen := d.closedSeen
 	for _, ch := range d.channels {
-		note(ch.m.Visited())
+		seen |= ch.m.VisitedSet()
 	}
-	// Sort for determinism: map iteration order above is random.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	var out []sm.State
+	for _, s := range sm.AllStates() {
+		if seen&(1<<s) != 0 {
+			out = append(out, s)
 		}
 	}
 	return out
@@ -328,13 +343,14 @@ func (d *Device) crashFromRFCOMM() {
 // onSignaling handles a signaling-channel C-frame.
 func (d *Device) onSignaling(h hci.ConnHandle, pkt l2cap.Packet) {
 	if len(pkt.Payload) > int(d.cfg.Profile.SignalingMTU) {
-		d.sendCmd(h, 0, l2cap.NewMTUExceededReject(d.cfg.Profile.SignalingMTU), nil)
+		d.rsp.rejectData = l2cap.AppendMTUExceededReason(d.rsp.rejectData[:0], d.cfg.Profile.SignalingMTU)
+		d.reject(h, 0, l2cap.RejectSignalingMTUExceeded, d.rsp.rejectData)
 		return
 	}
-	frames, err := l2cap.AppendSignals(d.sigFrames[:0], pkt.Payload)
+	frames, ok := l2cap.SplitSignals(d.sigFrames[:0], pkt.Payload)
 	d.sigFrames = frames[:0]
-	if err != nil {
-		d.sendCmd(h, 0, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+	if !ok {
+		d.rejectNotUnderstood(h, 0)
 		return
 	}
 	for _, f := range frames {
@@ -350,7 +366,7 @@ func (d *Device) handleCommand(h hci.ConnHandle, f l2cap.Frame) {
 	cmd, err := d.dec.Decode(f)
 	if err != nil {
 		d.undecodableHits++
-		d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+		d.rejectNotUnderstood(h, f.Identifier)
 		return
 	}
 	d.cmdHits[f.Code]++
@@ -367,7 +383,8 @@ func (d *Device) handleCommand(h hci.ConnHandle, f l2cap.Frame) {
 	case *l2cap.DisconnectionReq:
 		d.onDisconnectionReq(h, f, c)
 	case *l2cap.EchoReq:
-		d.sendCmd(h, f.Identifier, &l2cap.EchoRsp{Data: c.Data}, nil)
+		d.rsp.echo.Data = c.Data
+		d.sendCmd(h, f.Identifier, &d.rsp.echo, nil)
 	case *l2cap.InformationReq:
 		d.onInformationReq(h, f, c)
 	case *l2cap.MoveChannelReq:
@@ -384,18 +401,18 @@ func (d *Device) handleCommand(h hci.ConnHandle, f l2cap.Frame) {
 		// LE-only commands on an ACL-U link: tolerant stacks drop them,
 		// strict stacks do not understand them.
 		if !d.cfg.Profile.TolerateLEOnACLU {
-			d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+			d.rejectNotUnderstood(h, f.Identifier)
 		}
 	case *l2cap.FlowControlCredit:
-		d.sendCmd(h, f.Identifier, l2cap.NewInvalidCIDReject(0, c.CID), nil)
+		d.rejectInvalidCID(h, f.Identifier, 0, c.CID)
 	case *l2cap.CreditBasedConnReq:
 		d.onCreditConnReq(h, f, c)
 	case *l2cap.CreditBasedConnRsp, *l2cap.CreditBasedReconfReq, *l2cap.CreditBasedReconfRsp:
 		if !d.cfg.Profile.SupportsECRED {
-			d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+			d.rejectNotUnderstood(h, f.Identifier)
 		}
 	default:
-		d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+		d.rejectNotUnderstood(h, f.Identifier)
 	}
 }
 
@@ -405,9 +422,8 @@ func (d *Device) onConnectionReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Conne
 		return
 	}
 	reply := func(result l2cap.ConnResult, dcid l2cap.CID) {
-		d.sendCmd(h, f.Identifier, &l2cap.ConnectionRsp{
-			DCID: dcid, SCID: c.SCID, Result: result,
-		}, nil)
+		d.rsp.conn = l2cap.ConnectionRsp{DCID: dcid, SCID: c.SCID, Result: result}
+		d.sendCmd(h, f.Identifier, &d.rsp.conn, nil)
 	}
 	port, ok := d.lookupPort(c.PSM)
 	switch {
@@ -436,9 +452,8 @@ func (d *Device) onCreateChannelReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Cr
 		return
 	}
 	reply := func(result l2cap.ConnResult, dcid l2cap.CID) {
-		d.sendCmd(h, f.Identifier, &l2cap.CreateChannelRsp{
-			DCID: dcid, SCID: c.SCID, Result: result,
-		}, nil)
+		d.rsp.create = l2cap.CreateChannelRsp{DCID: dcid, SCID: c.SCID, Result: result}
+		d.sendCmd(h, f.Identifier, &d.rsp.create, nil)
 	}
 	port, ok := d.lookupPort(c.PSM)
 	switch {
@@ -478,7 +493,7 @@ func (d *Device) onConfigurationReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Co
 		return
 	}
 	if ch == nil {
-		d.sendCmd(h, f.Identifier, l2cap.NewInvalidCIDReject(0, c.DCID), nil)
+		d.rejectInvalidCID(h, f.Identifier, 0, c.DCID)
 		return
 	}
 	ev := sm.EvRecvConfigReq
@@ -487,22 +502,18 @@ func (d *Device) onConfigurationReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Co
 	}
 	tr, ok := ch.m.Apply(ev)
 	if !ok {
-		d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+		d.rejectNotUnderstood(h, f.Identifier)
 		return
 	}
 	result := l2cap.ConfigSuccess
 	if tr.Action == sm.ActSendConfigRspPending {
 		result = l2cap.ConfigPending
 	}
-	d.sendCmd(h, f.Identifier, &l2cap.ConfigurationRsp{
-		SCID: ch.remoteCID, Result: result,
-	}, nil)
+	d.sendConfigRsp(h, f.Identifier, ch.remoteCID, result)
 	if tr.Action == sm.ActSendConfigRspPending {
 		// Complete the lockstep decision immediately: final response.
 		if tr2, ok2 := ch.m.Apply(sm.EvLocalFinalRsp); ok2 && tr2.Action == sm.ActSendConfigRsp {
-			d.sendCmd(h, d.sigID(), &l2cap.ConfigurationRsp{
-				SCID: ch.remoteCID, Result: l2cap.ConfigSuccess,
-			}, nil)
+			d.sendConfigRsp(h, d.sigID(), ch.remoteCID, l2cap.ConfigSuccess)
 		}
 		return
 	}
@@ -548,12 +559,12 @@ func (d *Device) onDisconnectionReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Di
 		return
 	}
 	if ch == nil || (!d.cfg.Profile.LenientChannelLookup && ch.remoteCID != c.SCID) {
-		d.sendCmd(h, f.Identifier, l2cap.NewInvalidCIDReject(c.DCID, c.SCID), nil)
+		d.rejectInvalidCID(h, f.Identifier, c.DCID, c.SCID)
 		return
 	}
 	tr, ok := ch.m.Apply(sm.EvRecvDisconnectReq)
 	if !ok {
-		d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+		d.rejectNotUnderstood(h, f.Identifier)
 		return
 	}
 	if tr.Action == sm.ActDeliverToUpper {
@@ -564,24 +575,34 @@ func (d *Device) onDisconnectionReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Di
 		}
 	}
 	if tr.Action == sm.ActSendDisconnectRsp {
-		d.sendCmd(h, f.Identifier, &l2cap.DisconnectionRsp{DCID: c.DCID, SCID: c.SCID}, nil)
+		d.rsp.disc = l2cap.DisconnectionRsp{DCID: c.DCID, SCID: c.SCID}
+		d.sendCmd(h, f.Identifier, &d.rsp.disc, nil)
 	}
 	d.closeChannel(ch)
 }
 
+// The Information Response values every profile reports, shared
+// read-only by every device's replies.
+var (
+	infoConnectionlessMTU = []byte{0xA0, 0x02}             // 672
+	infoExtendedFeatures  = []byte{0x80, 0x02, 0x00, 0x00} // FCS + fixed channels
+	infoFixedChannels     = []byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}
+)
+
 // onInformationReq answers capability queries.
 func (d *Device) onInformationReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.InformationReq) {
-	rsp := &l2cap.InformationRsp{InfoType: c.InfoType}
+	rsp := &d.rsp.info
+	*rsp = l2cap.InformationRsp{InfoType: c.InfoType}
 	switch c.InfoType {
 	case l2cap.InfoTypeConnectionlessMTU:
 		rsp.Result = l2cap.InfoResultSuccess
-		rsp.Data = []byte{0xA0, 0x02} // 672
+		rsp.Data = infoConnectionlessMTU
 	case l2cap.InfoTypeExtendedFeatures:
 		rsp.Result = l2cap.InfoResultSuccess
-		rsp.Data = []byte{0x80, 0x02, 0x00, 0x00} // FCS + fixed channels
+		rsp.Data = infoExtendedFeatures
 	case l2cap.InfoTypeFixedChannels:
 		rsp.Result = l2cap.InfoResultSuccess
-		rsp.Data = []byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}
+		rsp.Data = infoFixedChannels
 	default:
 		rsp.Result = l2cap.InfoResultNotSupported
 	}
@@ -600,17 +621,16 @@ func (d *Device) onMoveChannelReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Move
 		return
 	}
 	if ch == nil {
-		d.sendCmd(h, f.Identifier, l2cap.NewInvalidCIDReject(0, c.ICID), nil)
+		d.rejectInvalidCID(h, f.Identifier, 0, c.ICID)
 		return
 	}
 	if _, ok := ch.m.Apply(sm.EvRecvMoveReq); !ok {
-		d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+		d.rejectNotUnderstood(h, f.Identifier)
 		return
 	}
 	if tr, ok := ch.m.Apply(sm.EvLocalAccept); ok && tr.Action == sm.ActSendMoveRsp {
-		d.sendCmd(h, f.Identifier, &l2cap.MoveChannelRsp{
-			ICID: c.ICID, Result: l2cap.MoveResultSuccess,
-		}, nil)
+		d.rsp.move = l2cap.MoveChannelRsp{ICID: c.ICID, Result: l2cap.MoveResultSuccess}
+		d.sendCmd(h, f.Identifier, &d.rsp.move, nil)
 	}
 }
 
@@ -626,14 +646,15 @@ func (d *Device) onMoveConfirmReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Move
 		return
 	}
 	if ch == nil {
-		d.sendCmd(h, f.Identifier, l2cap.NewInvalidCIDReject(0, c.ICID), nil)
+		d.rejectInvalidCID(h, f.Identifier, 0, c.ICID)
 		return
 	}
 	if tr, ok := ch.m.Apply(sm.EvRecvMoveConfirmReq); ok && tr.Action == sm.ActSendMoveConfirmRsp {
-		d.sendCmd(h, f.Identifier, &l2cap.MoveChannelConfirmRsp{ICID: c.ICID}, nil)
+		d.rsp.moveConfirm.ICID = c.ICID
+		d.sendCmd(h, f.Identifier, &d.rsp.moveConfirm, nil)
 		return
 	}
-	d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+	d.rejectNotUnderstood(h, f.Identifier)
 }
 
 // onCreditConnReq answers enhanced credit-based connections: supported
@@ -641,12 +662,13 @@ func (d *Device) onMoveConfirmReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Move
 // others do not understand them.
 func (d *Device) onCreditConnReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.CreditBasedConnReq) {
 	if !d.cfg.Profile.SupportsECRED {
-		d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+		d.rejectNotUnderstood(h, f.Identifier)
 		return
 	}
-	d.sendCmd(h, f.Identifier, &l2cap.CreditBasedConnRsp{
+	d.rsp.credit = l2cap.CreditBasedConnRsp{
 		Result: 0x0002, // all connections refused – SPSM not supported
-	}, nil)
+	}
+	d.sendCmd(h, f.Identifier, &d.rsp.credit, nil)
 }
 
 // onStrayResponse handles response commands matching no request.
@@ -654,7 +676,7 @@ func (d *Device) onStrayResponse(h hci.ConnHandle, f l2cap.Frame) {
 	if d.cfg.Profile.AcceptStrayResponses {
 		return // the Android quirk: silently tolerated
 	}
-	d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+	d.rejectNotUnderstood(h, f.Identifier)
 }
 
 // checkVuln evaluates the injected defects against one command; when one
@@ -768,12 +790,15 @@ func (d *Device) newChannel(psm l2cap.PSM, remote l2cap.CID) *channel {
 			d.nextCID = l2cap.CIDDynamicFirst
 		}
 	}
-	ch := &channel{
-		m:         sm.NewMachine(),
-		localCID:  d.nextCID,
-		remoteCID: remote,
-		psm:       psm,
+	var ch *channel
+	if n := len(d.spare); n > 0 {
+		ch = d.spare[n-1]
+		d.spare = d.spare[:n-1]
+	} else {
+		ch = new(channel)
 	}
+	ch.m.Reset()
+	ch.localCID, ch.remoteCID, ch.psm = d.nextCID, remote, psm
 	d.channels = append(d.channels, ch)
 	d.nextCID++
 	if d.nextCID < l2cap.CIDDynamicFirst {
@@ -783,8 +808,15 @@ func (d *Device) newChannel(psm l2cap.PSM, remote l2cap.CID) *channel {
 }
 
 func (d *Device) closeChannel(ch *channel) {
-	d.closedMachines = append(d.closedMachines, ch.m)
 	d.channels = slices.DeleteFunc(d.channels, func(c *channel) bool { return c == ch })
+	d.retire(ch)
+}
+
+// retire folds a closed channel's visited states into closedSeen and
+// keeps the channel for reuse. The caller has removed it from channels.
+func (d *Device) retire(ch *channel) {
+	d.closedSeen |= ch.m.VisitedSet()
+	d.spare = append(d.spare, ch)
 }
 
 // maybeSendOwnConfig emits the stack's own Configuration Request when the
@@ -806,10 +838,35 @@ func (d *Device) sendOwnConfig(h hci.ConnHandle, ch *channel) {
 	if _, ok := ch.m.Apply(sm.EvLocalSendConfigReq); !ok {
 		return
 	}
-	d.sendCmd(h, d.sigID(), &l2cap.ConfigurationReq{
-		DCID:    ch.remoteCID,
-		Options: []l2cap.ConfigOption{l2cap.MTUOption(d.cfg.Profile.SignalingMTU)},
-	}, nil)
+	if d.rsp.ownConfig == nil {
+		d.rsp.ownConfig = []l2cap.ConfigOption{l2cap.MTUOption(d.cfg.Profile.SignalingMTU)}
+	}
+	d.rsp.cfgReq = l2cap.ConfigurationReq{DCID: ch.remoteCID, Options: d.rsp.ownConfig}
+	d.sendCmd(h, d.sigID(), &d.rsp.cfgReq, nil)
+}
+
+// sendConfigRsp answers a Configuration Request with result.
+func (d *Device) sendConfigRsp(h hci.ConnHandle, id uint8, scid l2cap.CID, result l2cap.ConfigResult) {
+	d.rsp.cfgRsp = l2cap.ConfigurationRsp{SCID: scid, Result: result}
+	d.sendCmd(h, id, &d.rsp.cfgRsp, nil)
+}
+
+// reject sends a Command Reject carrying reason and its reason data.
+func (d *Device) reject(h hci.ConnHandle, id uint8, reason l2cap.RejectReason, data []byte) {
+	d.rsp.reject = l2cap.CommandReject{Reason: reason, ReasonData: data}
+	d.sendCmd(h, id, &d.rsp.reject, nil)
+}
+
+// rejectNotUnderstood sends the "command not understood" reject.
+func (d *Device) rejectNotUnderstood(h hci.ConnHandle, id uint8) {
+	d.reject(h, id, l2cap.RejectNotUnderstood, nil)
+}
+
+// rejectInvalidCID sends the reject a stack sends for a command that
+// referenced a channel endpoint it never allocated.
+func (d *Device) rejectInvalidCID(h hci.ConnHandle, id uint8, local, remote l2cap.CID) {
+	d.rsp.rejectData = l2cap.AppendInvalidCIDReason(d.rsp.rejectData[:0], local, remote)
+	d.reject(h, id, l2cap.RejectInvalidCID, d.rsp.rejectData)
 }
 
 func (d *Device) sigID() uint8 {
@@ -825,13 +882,9 @@ func (d *Device) sendCmd(h hci.ConnHandle, id uint8, cmd l2cap.Command, tail []b
 	if id == 0 {
 		id = d.sigID()
 	}
-	payload, declared := l2cap.AppendSignalFrame(d.sigWire[:0], id, cmd, tail)
-	d.sigWire = payload
-	d.send(h, l2cap.Packet{
-		Length:    uint16(min(declared, l2cap.MaxPayload)),
-		ChannelID: l2cap.CIDSignaling,
-		Payload:   payload,
-	})
+	pkt := l2cap.AppendSignalPacket(d.sigWire[:0], id, cmd, tail)
+	d.sigWire = pkt.Payload
+	d.send(h, pkt)
 }
 
 func (d *Device) send(h hci.ConnHandle, pkt l2cap.Packet) {

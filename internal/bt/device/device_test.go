@@ -651,3 +651,54 @@ func TestCrashClassAndDumpKindStrings(t *testing.T) {
 		t.Error("unknown CrashClass has empty string")
 	}
 }
+
+func TestRepliesReuseDeviceValues(t *testing.T) {
+	// Every reply is built in a device-owned value: consecutive replies
+	// of different kinds and reasons must each carry exactly their own
+	// bytes, and a steady stream of them must not allocate.
+	cfg := basicConfig(IOSProfile("4.2"))
+	cfg.DisableVulns = true
+	_, d, cl := testRig(t, cfg)
+	undecodable := l2cap.SignalPacket(7, &l2cap.EchoReq{}, nil)
+	undecodable.Payload[2] = 0xFF // declared data length overruns
+	requests := []struct {
+		cmd  l2cap.Command // sent with SendCommand; nil sends undecodable
+		want l2cap.Command
+	}{
+		{&l2cap.ConfigurationReq{DCID: 0x4242}, l2cap.NewInvalidCIDReject(0, 0x4242)},
+		{nil, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}},
+		{&l2cap.DisconnectionReq{DCID: 0x4343, SCID: 0x0041}, l2cap.NewInvalidCIDReject(0x4343, 0x0041)},
+		{&l2cap.EchoReq{Data: []byte("abc")}, &l2cap.EchoRsp{Data: []byte("abc")}},
+		{&l2cap.InformationReq{InfoType: l2cap.InfoTypeConnectionlessMTU},
+			&l2cap.InformationRsp{InfoType: l2cap.InfoTypeConnectionlessMTU, Result: l2cap.InfoResultSuccess, Data: []byte{0xA0, 0x02}}},
+	}
+	send := func(cmd l2cap.Command) error {
+		if cmd == nil {
+			return cl.Send(d.Address(), undecodable)
+		}
+		_, err := cl.SendCommand(d.Address(), cmd, nil)
+		return err
+	}
+	for round := 0; round < 2; round++ {
+		for i, req := range requests {
+			cl.Drain()
+			if err := send(req.cmd); err != nil {
+				t.Fatal(err)
+			}
+			got := cl.DrainCommands()
+			if len(got) != 1 || got[0].Code() != req.want.Code() ||
+				string(got[0].MarshalData()) != string(req.want.MarshalData()) {
+				t.Fatalf("round %d request %d: replies %+v, want one %+v", round, i, got, req.want)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, req := range requests {
+			_ = send(req.cmd)
+			cl.Drain()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per round of %d requests and replies, want 0", allocs, len(requests))
+	}
+}

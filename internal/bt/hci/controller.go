@@ -39,6 +39,10 @@ type Controller struct {
 	// peer and a rig has one peer, so lookups by handle or by peer scan
 	// this slice rather than hash on every fragment.
 	links []*link
+	// spare is the last torn-down link, kept for addLink to reuse:
+	// fuzzers that re-page every few packets would otherwise allocate a
+	// link per page.
+	spare *link
 
 	// receiver gets complete L2CAP frames from the host side.
 	receiver func(h ConnHandle, peer radio.BDAddr, l2capFrame []byte)
@@ -285,7 +289,14 @@ func (c *Controller) addLink(peer radio.BDAddr) *link {
 	if c.nextHandle > MaxConnHandle {
 		c.nextHandle = 0x0001
 	}
-	l := &link{handle: h, peer: peer}
+	l := c.spare
+	if l == nil {
+		l = new(link)
+	}
+	c.spare = nil
+	// The reassembly buffer is not carried over: a frame borrowed from
+	// the torn-down link's reassembler stays intact.
+	*l = link{handle: h, peer: peer}
 	c.links = append(c.links, l)
 	return l
 }
@@ -301,4 +312,5 @@ func (c *Controller) removeLink(l *link) {
 	if c.disconnected != nil {
 		c.disconnected(l.handle, l.peer)
 	}
+	c.spare = l
 }

@@ -57,7 +57,7 @@ type Client struct {
 	// Reused scratch state for the steady-state send/decode path.
 	txWire    []byte          // wire bytes of the frame being sent
 	sigWire   []byte          // signaling payload built by SendCommand
-	sigFrames []l2cap.Frame   // AppendSignals scratch in DrainCommands
+	sigFrames []l2cap.Frame   // SplitSignals scratch in DrainCommands
 	cmds      []l2cap.Command // DrainCommands result scratch
 	dec       l2cap.Decoder
 	echo      l2cap.EchoReq // Ping's reused request
@@ -195,13 +195,9 @@ func (c *Client) Send(peer radio.BDAddr, pkt l2cap.Packet) error {
 // in a reused scratch buffer.
 func (c *Client) SendCommand(peer radio.BDAddr, cmd l2cap.Command, tail []byte) (uint8, error) {
 	id := c.NextID()
-	payload, declared := l2cap.AppendSignalFrame(c.sigWire[:0], id, cmd, tail)
-	c.sigWire = payload
-	return id, c.Send(peer, l2cap.Packet{
-		Length:    uint16(min(declared, l2cap.MaxPayload)),
-		ChannelID: l2cap.CIDSignaling,
-		Payload:   payload,
-	})
+	pkt := l2cap.AppendSignalPacket(c.sigWire[:0], id, cmd, tail)
+	c.sigWire = pkt.Payload
+	return id, c.Send(peer, pkt)
 }
 
 // Drain returns and clears the inbox. The returned packets (and their
@@ -229,8 +225,8 @@ func (c *Client) DrainCommands() []l2cap.Command {
 		if !pkt.IsSignaling() {
 			continue
 		}
-		frames, err := l2cap.AppendSignals(c.sigFrames[:0], pkt.Payload)
-		if err != nil {
+		frames, ok := l2cap.SplitSignals(c.sigFrames[:0], pkt.Payload)
+		if !ok {
 			c.sigFrames = frames[:0]
 			continue
 		}

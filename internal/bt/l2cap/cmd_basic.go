@@ -95,9 +95,15 @@ func (c *CommandReject) CoreFields() CoreFields { return CoreFields{} }
 // NewInvalidCIDReject builds the reject a stack sends for a command that
 // referenced a channel endpoint it never allocated.
 func NewInvalidCIDReject(local, remote CID) *CommandReject {
-	data := putU16(nil, uint16(local))
-	data = putU16(data, uint16(remote))
-	return &CommandReject{Reason: RejectInvalidCID, ReasonData: data}
+	return &CommandReject{Reason: RejectInvalidCID, ReasonData: AppendInvalidCIDReason(nil, local, remote)}
+}
+
+// AppendInvalidCIDReason appends the reason data of an invalid-CID
+// reject — the local then the remote endpoint — to dst: the
+// allocation-free form of NewInvalidCIDReject for a responder that reuses
+// its reject value and scratch.
+func AppendInvalidCIDReason(dst []byte, local, remote CID) []byte {
+	return putU16(putU16(dst, uint16(local)), uint16(remote))
 }
 
 // NewMTUExceededReject builds the reject a stack sends for an oversized
@@ -105,8 +111,15 @@ func NewInvalidCIDReject(local, remote CID) *CommandReject {
 func NewMTUExceededReject(actualMTU uint16) *CommandReject {
 	return &CommandReject{
 		Reason:     RejectSignalingMTUExceeded,
-		ReasonData: putU16(nil, actualMTU),
+		ReasonData: AppendMTUExceededReason(nil, actualMTU),
 	}
+}
+
+// AppendMTUExceededReason appends the reason data of an MTU-exceeded
+// reject — the actual signaling MTU — to dst, as AppendInvalidCIDReason
+// does for invalid-CID rejects.
+func AppendMTUExceededReason(dst []byte, actualMTU uint16) []byte {
+	return putU16(dst, actualMTU)
 }
 
 // ConnectionReq (code 0x02) asks to open a connection-oriented channel to
@@ -142,7 +155,9 @@ func (c *ConnectionReq) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *ConnectionReq) CoreFields() CoreFields {
-	return CoreFields{PSM: &c.PSM, CIDs: []*CID{&c.SCID}}
+	core := cidFields(&c.SCID, nil)
+	core.PSM = &c.PSM
+	return core
 }
 
 // ConnectionRsp (code 0x03) answers a ConnectionReq.
@@ -185,7 +200,7 @@ func (c *ConnectionRsp) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *ConnectionRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.DCID, &c.SCID}}
+	return cidFields(&c.DCID, &c.SCID)
 }
 
 // ConfigurationReq (code 0x04) proposes channel options for the channel
@@ -230,7 +245,7 @@ func (c *ConfigurationReq) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *ConfigurationReq) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.DCID}}
+	return cidFields(&c.DCID, nil)
 }
 
 // ConfigurationRsp (code 0x05) answers a ConfigurationReq.
@@ -277,7 +292,7 @@ func (c *ConfigurationRsp) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *ConfigurationRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.SCID}}
+	return cidFields(&c.SCID, nil)
 }
 
 // DisconnectionReq (code 0x06) tears down a channel identified by the
@@ -313,7 +328,7 @@ func (c *DisconnectionReq) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *DisconnectionReq) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.DCID, &c.SCID}}
+	return cidFields(&c.DCID, &c.SCID)
 }
 
 // DisconnectionRsp (code 0x07) confirms a DisconnectionReq.
@@ -348,7 +363,7 @@ func (c *DisconnectionRsp) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *DisconnectionRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.DCID, &c.SCID}}
+	return cidFields(&c.DCID, &c.SCID)
 }
 
 // EchoReq (code 0x08) is the L2CAP ping. L2Fuzz's vulnerability-detecting

@@ -53,11 +53,10 @@ func (c *CreateChannelReq) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *CreateChannelReq) CoreFields() CoreFields {
-	return CoreFields{
-		PSM:           &c.PSM,
-		CIDs:          []*CID{&c.SCID},
-		ControllerIDs: []*uint8{&c.ControllerID},
-	}
+	core := cidFields(&c.SCID, nil)
+	core.PSM = &c.PSM
+	core.ControllerID = &c.ControllerID
+	return core
 }
 
 // CreateChannelRsp (code 0x0D) answers a CreateChannelReq.
@@ -100,7 +99,7 @@ func (c *CreateChannelRsp) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *CreateChannelRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.DCID, &c.SCID}}
+	return cidFields(&c.DCID, &c.SCID)
 }
 
 // MoveChannelReq (code 0x0E) asks to move a channel to another controller.
@@ -135,10 +134,9 @@ func (c *MoveChannelReq) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *MoveChannelReq) CoreFields() CoreFields {
-	return CoreFields{
-		CIDs:          []*CID{&c.ICID},
-		ControllerIDs: []*uint8{&c.DestControllerID},
-	}
+	core := cidFields(&c.ICID, nil)
+	core.ControllerID = &c.DestControllerID
+	return core
 }
 
 // MoveChannelRsp (code 0x0F) answers a MoveChannelReq.
@@ -173,7 +171,7 @@ func (c *MoveChannelRsp) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *MoveChannelRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.ICID}}
+	return cidFields(&c.ICID, nil)
 }
 
 // MoveChannelConfirmReq (code 0x10) confirms the final move outcome.
@@ -208,7 +206,7 @@ func (c *MoveChannelConfirmReq) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *MoveChannelConfirmReq) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.ICID}}
+	return cidFields(&c.ICID, nil)
 }
 
 // MoveChannelConfirmRsp (code 0x11) acknowledges the confirmation.
@@ -239,5 +237,5 @@ func (c *MoveChannelConfirmRsp) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *MoveChannelConfirmRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.ICID}}
+	return cidFields(&c.ICID, nil)
 }

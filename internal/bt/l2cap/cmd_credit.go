@@ -28,9 +28,14 @@ const maxECREDChannels = 5
 type CreditFielder interface {
 	Command
 	// CreditFields returns in-place references to the command's
-	// credit-negotiation fields, in wire order.
-	CreditFields() []*uint16
+	// credit-negotiation fields, in wire order; entries past the last
+	// field are nil. A fixed-size array keeps the call allocation-free.
+	CreditFields() [maxCreditFields]*uint16
 }
+
+// maxCreditFields is the most credit-negotiation fields one command
+// carries (SPSM, MTU, MPS, CREDIT).
+const maxCreditFields = 4
 
 var (
 	_ CreditFielder = (*LECreditConnReq)(nil)
@@ -156,12 +161,12 @@ func (c *LECreditConnReq) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *LECreditConnReq) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.SCID}}
+	return cidFields(&c.SCID, nil)
 }
 
 // CreditFields implements CreditFielder.
-func (c *LECreditConnReq) CreditFields() []*uint16 {
-	return []*uint16{&c.SPSM, &c.MTU, &c.MPS, &c.InitialCredits}
+func (c *LECreditConnReq) CreditFields() [maxCreditFields]*uint16 {
+	return [maxCreditFields]*uint16{&c.SPSM, &c.MTU, &c.MPS, &c.InitialCredits}
 }
 
 // LECreditConnRsp (code 0x15) answers an LECreditConnReq.
@@ -208,12 +213,12 @@ func (c *LECreditConnRsp) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *LECreditConnRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.DCID}}
+	return cidFields(&c.DCID, nil)
 }
 
 // CreditFields implements CreditFielder.
-func (c *LECreditConnRsp) CreditFields() []*uint16 {
-	return []*uint16{&c.MTU, &c.MPS, &c.InitialCredits}
+func (c *LECreditConnRsp) CreditFields() [maxCreditFields]*uint16 {
+	return [maxCreditFields]*uint16{&c.MTU, &c.MPS, &c.InitialCredits}
 }
 
 // FlowControlCredit (code 0x16) grants additional credits on a
@@ -250,22 +255,12 @@ func (c *FlowControlCredit) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *FlowControlCredit) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.CID}}
+	return cidFields(&c.CID, nil)
 }
 
 // CreditFields implements CreditFielder.
-func (c *FlowControlCredit) CreditFields() []*uint16 {
-	return []*uint16{&c.Credits}
-}
-
-// cidSliceRefs converts a CID slice into per-element pointers for
-// CoreFields.
-func cidSliceRefs(cids []CID) []*CID {
-	refs := make([]*CID, len(cids))
-	for i := range cids {
-		refs[i] = &cids[i]
-	}
-	return refs
+func (c *FlowControlCredit) CreditFields() [maxCreditFields]*uint16 {
+	return [maxCreditFields]*uint16{&c.Credits}
 }
 
 // marshalCIDs appends each CID in wire order.
@@ -277,8 +272,10 @@ func marshalCIDs(dst []byte, cids []CID) []byte {
 }
 
 // unmarshalCIDs decodes the trailing CID list of an enhanced credit-based
-// command.
-func unmarshalCIDs(code CommandCode, data []byte) ([]CID, error) {
+// command onto dst (the command's previous list, truncated), so a reused
+// decoder cache pays no allocation per command. A decoded list is never
+// nil, even when empty.
+func unmarshalCIDs(dst []CID, code CommandCode, data []byte) ([]CID, error) {
 	if len(data)%2 != 0 {
 		return nil, errorf("%w: %v CID list has odd length %d",
 			ErrBadCommand, code, len(data))
@@ -288,11 +285,13 @@ func unmarshalCIDs(code CommandCode, data []byte) ([]CID, error) {
 		return nil, errorf("%w: %v carries %d CIDs, max %d",
 			ErrBadCommand, code, n, maxECREDChannels)
 	}
-	cids := make([]CID, n)
-	for i := 0; i < n; i++ {
-		cids[i] = CID(getU16(data, 2*i))
+	if dst == nil {
+		dst = make([]CID, 0, n)
 	}
-	return cids, nil
+	for i := 0; i < n; i++ {
+		dst = append(dst, CID(getU16(data, 2*i)))
+	}
+	return dst, nil
 }
 
 // CreditBasedConnReq (code 0x17) opens up to five enhanced credit-based
@@ -334,7 +333,7 @@ func (c *CreditBasedConnReq) UnmarshalData(data []byte) error {
 	c.MTU = getU16(data, 2)
 	c.MPS = getU16(data, 4)
 	c.InitialCredits = getU16(data, 6)
-	cids, err := unmarshalCIDs(CodeCreditBasedConnReq, data[8:])
+	cids, err := unmarshalCIDs(c.SCIDs[:0], CodeCreditBasedConnReq, data[8:])
 	if err != nil {
 		return err
 	}
@@ -344,12 +343,12 @@ func (c *CreditBasedConnReq) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *CreditBasedConnReq) CoreFields() CoreFields {
-	return CoreFields{CIDs: cidSliceRefs(c.SCIDs)}
+	return CoreFields{cidList: c.SCIDs}
 }
 
 // CreditFields implements CreditFielder.
-func (c *CreditBasedConnReq) CreditFields() []*uint16 {
-	return []*uint16{&c.SPSM, &c.MTU, &c.MPS, &c.InitialCredits}
+func (c *CreditBasedConnReq) CreditFields() [maxCreditFields]*uint16 {
+	return [maxCreditFields]*uint16{&c.SPSM, &c.MTU, &c.MPS, &c.InitialCredits}
 }
 
 // CreditBasedConnRsp (code 0x18) answers a CreditBasedConnReq.
@@ -390,7 +389,7 @@ func (c *CreditBasedConnRsp) UnmarshalData(data []byte) error {
 	c.MPS = getU16(data, 2)
 	c.InitialCredits = getU16(data, 4)
 	c.Result = getU16(data, 6)
-	cids, err := unmarshalCIDs(CodeCreditBasedConnRsp, data[8:])
+	cids, err := unmarshalCIDs(c.DCIDs[:0], CodeCreditBasedConnRsp, data[8:])
 	if err != nil {
 		return err
 	}
@@ -400,12 +399,12 @@ func (c *CreditBasedConnRsp) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *CreditBasedConnRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: cidSliceRefs(c.DCIDs)}
+	return CoreFields{cidList: c.DCIDs}
 }
 
 // CreditFields implements CreditFielder.
-func (c *CreditBasedConnRsp) CreditFields() []*uint16 {
-	return []*uint16{&c.MTU, &c.MPS, &c.InitialCredits}
+func (c *CreditBasedConnRsp) CreditFields() [maxCreditFields]*uint16 {
+	return [maxCreditFields]*uint16{&c.MTU, &c.MPS, &c.InitialCredits}
 }
 
 // CreditBasedReconfReq (code 0x19) renegotiates MTU/MPS on enhanced
@@ -439,7 +438,7 @@ func (c *CreditBasedReconfReq) UnmarshalData(data []byte) error {
 	}
 	c.MTU = getU16(data, 0)
 	c.MPS = getU16(data, 2)
-	cids, err := unmarshalCIDs(CodeCreditBasedReconfReq, data[4:])
+	cids, err := unmarshalCIDs(c.DCIDs[:0], CodeCreditBasedReconfReq, data[4:])
 	if err != nil {
 		return err
 	}
@@ -449,12 +448,12 @@ func (c *CreditBasedReconfReq) UnmarshalData(data []byte) error {
 
 // CoreFields implements Command.
 func (c *CreditBasedReconfReq) CoreFields() CoreFields {
-	return CoreFields{CIDs: cidSliceRefs(c.DCIDs)}
+	return CoreFields{cidList: c.DCIDs}
 }
 
 // CreditFields implements CreditFielder.
-func (c *CreditBasedReconfReq) CreditFields() []*uint16 {
-	return []*uint16{&c.MTU, &c.MPS}
+func (c *CreditBasedReconfReq) CreditFields() [maxCreditFields]*uint16 {
+	return [maxCreditFields]*uint16{&c.MTU, &c.MPS}
 }
 
 // CreditBasedReconfRsp (code 0x1A) answers a CreditBasedReconfReq.

@@ -6,9 +6,9 @@ import "fmt"
 // a device, client or sniffer parses produces one. They hold the
 // offending values and format their message only when Error is called,
 // so rejecting a packet costs no fmt work; a malformed frame header costs
-// at most one small allocation. Each unwraps to its sentinel, so
-// errors.Is and the message text are what fmt.Errorf("%w: ...") would
-// give.
+// at most one small allocation, and none through SplitSignals. Each
+// unwraps to its sentinel, so errors.Is and the message text are what
+// fmt.Errorf("%w: ...") would give.
 
 // lengthError reports a frame or command header whose sizes do not fit
 // the bytes present: ErrShortPacket, ErrLengthMismatch, ErrShortCommand
@@ -54,27 +54,34 @@ func (unknownCodeError) Unwrap() error { return ErrUnknownCode }
 // lazyError is fmt.Errorf deferred to Error: it keeps the format and
 // its arguments and formats only when asked. The command-data decoders
 // use it for the rarer reject reasons, whose messages vary too much for
-// a dedicated type.
+// a dedicated type. The arguments live in the error itself, so building
+// one is a single allocation.
 type lazyError struct {
 	format string
-	args   []any
-	// wrapped is the error argument the format's %w verb names.
-	wrapped error
+	args   [maxErrorArgs]any
+	nargs  int
 }
 
+// maxErrorArgs is the most arguments an errorf format takes.
+const maxErrorArgs = 4
+
 // errorf is fmt.Errorf with the formatting deferred; format must use
-// %w for exactly one error argument.
+// %w for exactly one error argument and take at most maxErrorArgs
+// arguments.
 func errorf(format string, args ...any) error {
-	e := &lazyError{format: format, args: args}
-	for _, a := range args {
-		if err, ok := a.(error); ok {
-			e.wrapped = err
-			break
-		}
-	}
+	e := &lazyError{format: format, nargs: len(args)}
+	copy(e.args[:], args)
 	return e
 }
 
-func (e *lazyError) Error() string { return fmt.Errorf(e.format, e.args...).Error() }
+func (e *lazyError) Error() string { return fmt.Errorf(e.format, e.args[:e.nargs]...).Error() }
 
-func (e *lazyError) Unwrap() error { return e.wrapped }
+// Unwrap returns the error argument the format's %w verb names.
+func (e *lazyError) Unwrap() error {
+	for _, a := range e.args[:e.nargs] {
+		if err, ok := a.(error); ok {
+			return err
+		}
+	}
+	return nil
+}

@@ -3,7 +3,9 @@ package l2cap
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+	"testing/quick"
 )
 
 // TestCommandCodeStringAllCodes pins String for every byte value: the 26
@@ -97,6 +99,38 @@ func TestRejectPathAllocs(t *testing.T) {
 		})
 		if allocs > 1 {
 			t.Errorf("%s: rejecting allocates %.1f times per payload, want <= 1", name, allocs)
+		}
+	}
+}
+
+// TestSplitSignalsMatchesAppendSignals checks the branch-only splitter
+// against AppendSignals: the same frames, and a failure exactly when
+// AppendSignals reports an error.
+func TestSplitSignalsMatchesAppendSignals(t *testing.T) {
+	f := func(raw []byte) bool {
+		want, err := AppendSignals(nil, raw)
+		got, ok := SplitSignals(nil, raw)
+		return ok == (err == nil) && reflect.DeepEqual(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSplitSignalsRejectsWithoutAllocating: splitting a malformed
+// signaling payload builds no error value.
+func TestSplitSignalsRejectsWithoutAllocating(t *testing.T) {
+	scratch := make([]Frame, 0, 4)
+	for name, payload := range map[string][]byte{
+		"short header":  {0x02, 0x01},
+		"data overrun":  {0x02, 0x01, 0x40, 0x00, 0xAA},
+		"trailing tail": {0x08, 0x01, 0x00, 0x00, 0x01},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			scratch, _ = SplitSignals(scratch[:0], payload)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: splitting allocates %.1f times per payload, want 0", name, allocs)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package l2cap
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestEveryCommandHasFieldClassification(t *testing.T) {
 	for _, code := range AllCommandCodes() {
@@ -68,7 +71,7 @@ func TestCoreFieldsMutateInPlace(t *testing.T) {
 	req := &ConnectionReq{PSM: PSMSDP, SCID: 0x0040}
 	core := req.CoreFields()
 	*core.PSM = 0x0100
-	*core.CIDs[0] = 0x1234
+	*core.CID(0) = 0x1234
 	if req.PSM != 0x0100 || req.SCID != 0x1234 {
 		t.Fatalf("mutation through CoreFields did not reach the struct: %+v", req)
 	}
@@ -166,4 +169,63 @@ func TestCIDRanges(t *testing.T) {
 	if lo != 0x0040 || hi != 0xFFFF {
 		t.Errorf("CIDPRange() = [%v, %v], want [0x0040, 0xFFFF]", lo, hi)
 	}
+}
+
+func TestCoreFieldsCIDsInWireOrder(t *testing.T) {
+	// Every channel-ID field is reachable through CID(i), fixed fields
+	// and enhanced credit-based lists alike, in wire order.
+	cases := []struct {
+		cmd  Command
+		want []CID
+	}{
+		{&ConnectionReq{PSM: PSMSDP, SCID: 0x0040}, []CID{0x0040}},
+		{&ConnectionRsp{DCID: 0x0041, SCID: 0x0042}, []CID{0x0041, 0x0042}},
+		{&DisconnectionReq{DCID: 0x0043, SCID: 0x0044}, []CID{0x0043, 0x0044}},
+		{&MoveChannelReq{ICID: 0x0045}, []CID{0x0045}},
+		{&CreditBasedConnReq{SCIDs: []CID{0x0046, 0x0047, 0x0048, 0x0049, 0x004A}},
+			[]CID{0x0046, 0x0047, 0x0048, 0x0049, 0x004A}},
+		{&CreditBasedReconfReq{}, nil},
+		{&EchoReq{}, nil},
+	}
+	for _, tc := range cases {
+		core := tc.cmd.CoreFields()
+		var got []CID
+		for i := range core.NumCIDs() {
+			got = append(got, *core.CID(i))
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%v: CIDs = %v, want %v", tc.cmd.Code(), got, tc.want)
+		}
+	}
+	ecred := &CreditBasedConnRsp{DCIDs: []CID{1, 2}}
+	core := ecred.CoreFields()
+	*core.CID(1) = 0x0077
+	if ecred.DCIDs[1] != 0x0077 {
+		t.Fatalf("mutation through CID(1) did not reach the list: %v", ecred.DCIDs)
+	}
+}
+
+func TestCoreFieldsDoNotAllocate(t *testing.T) {
+	// The mutator and the trace sniffer ask every packet for its core
+	// fields, so building and walking them must not allocate.
+	cmds := sampleCommands()
+	var sink CID
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, cmd := range cmds {
+			core := cmd.CoreFields()
+			if core.PSM != nil {
+				sink += CID(*core.PSM)
+			}
+			for i := range core.NumCIDs() {
+				sink += *core.CID(i)
+			}
+			if core.ControllerID != nil {
+				sink += CID(*core.ControllerID)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("CoreFields over %d commands: %v allocs/run, want 0", len(cmds), allocs)
+	}
+	_ = sink
 }

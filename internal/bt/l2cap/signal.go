@@ -79,26 +79,48 @@ func ParseSignals(payload []byte) ([]Frame, error) {
 // length 0), avoiding a slice allocation per payload on the hot path. The
 // same borrow semantics apply: Data and Tail alias payload.
 func AppendSignals(dst []Frame, payload []byte) ([]Frame, error) {
+	out, fault := splitSignals(dst, payload)
+	if fault.sentinel != nil {
+		err := fault // boxed from a copy, so only a failure allocates
+		return out, &err
+	}
+	return out, nil
+}
+
+// SplitSignals is AppendSignals for callers that only branch on the
+// outcome, such as a device rejecting an undecodable payload or a trace
+// sniffer counting one: it returns the same frames, and ok is false
+// exactly when AppendSignals would return an error. It never allocates
+// an error value, so a malformed payload costs nothing beyond the parse.
+func SplitSignals(dst []Frame, payload []byte) (frames []Frame, ok bool) {
+	out, fault := splitSignals(dst, payload)
+	return out, fault.sentinel == nil
+}
+
+// splitSignals is the parser behind AppendSignals and SplitSignals. On
+// failure it describes the fault as a lengthError value (sentinel set),
+// left for the caller to box only if it returns an error.
+func splitSignals(dst []Frame, payload []byte) ([]Frame, lengthError) {
 	base := len(dst)
 	off := 0
 	for off < len(payload) {
 		rest := payload[off:]
 		if len(rest) < SignalHeaderSize {
 			if len(dst) == base {
-				return dst[:base], shortError(ErrShortCommand, len(rest))
+				return dst[:base], lengthError{sentinel: ErrShortCommand, declared: -1, avail: len(rest)}
 			}
 			last := &dst[len(dst)-1]
 			last.Tail = appendTail(last.Tail, payload, off)
-			return dst, nil
+			return dst, lengthError{}
 		}
 		dataLen := int(binary.LittleEndian.Uint16(rest[2:4]))
 		if SignalHeaderSize+dataLen > len(rest) {
 			if len(dst) == base {
-				return dst[:base], overrunError(ErrDataLength, dataLen, len(rest)-SignalHeaderSize)
+				return dst[:base], lengthError{sentinel: ErrDataLength, declared: dataLen, avail: len(rest) - SignalHeaderSize}
 			}
 			last := &dst[len(dst)-1]
 			last.Tail = appendTail(last.Tail, payload, off)
-			return dst, nil
+			return dst, lengthError{}
 		}
 		dst = append(dst, Frame{
 			Code:       CommandCode(rest[0]),
@@ -107,7 +129,7 @@ func AppendSignals(dst []Frame, payload []byte) ([]Frame, error) {
 		})
 		off += SignalHeaderSize + dataLen
 	}
-	return dst, nil
+	return dst, lengthError{}
 }
 
 // appendTail extends a frame's tail with payload[off:]. When the existing
@@ -149,22 +171,53 @@ type Command interface {
 }
 
 // CoreFields references a command's mutable-core fields in place, letting
-// a mutator rewrite them without knowing the command layout.
+// a mutator rewrite them without knowing the command layout. It is a
+// plain value over fixed-size storage: building one allocates nothing,
+// so the mutator and the trace sniffer can ask every packet for it.
 type CoreFields struct {
 	// PSM points at the command's port field, if any.
 	PSM *PSM
-	// CIDs points at every channel-ID-in-payload field (SCID, DCID, ICID),
-	// in wire order.
-	CIDs []*CID
-	// ControllerIDs points at every controller-ID field (the CONT ID
-	// member of MC in the paper's Figure 6).
-	ControllerIDs []*uint8
+	// ControllerID points at the command's controller-ID field (the CONT
+	// ID member of MC in the paper's Figure 6), if any. No command
+	// carries more than one.
+	ControllerID *uint8
+	// cids points at the command's fixed channel-ID fields (SCID, DCID,
+	// ICID) in wire order; the first ncids entries are set.
+	cids  [2]*CID
+	ncids int
+	// cidList is the variable-length channel-ID list of an enhanced
+	// credit-based command, aliasing the command's own slice. It follows
+	// the fixed fields in wire order (no command has both).
+	cidList []CID
+}
+
+// cidFields returns the core fields of a command whose channel-ID fields
+// are the scalars a and, when non-nil, b, in wire order.
+func cidFields(a, b *CID) CoreFields {
+	c := CoreFields{cids: [2]*CID{a, b}, ncids: 1}
+	if b != nil {
+		c.ncids = 2
+	}
+	return c
+}
+
+// NumCIDs returns how many channel-ID-in-payload fields the command
+// carries.
+func (c *CoreFields) NumCIDs() int { return c.ncids + len(c.cidList) }
+
+// CID points at the command's i-th channel-ID-in-payload field, in wire
+// order, for 0 <= i < NumCIDs.
+func (c *CoreFields) CID(i int) *CID {
+	if i < c.ncids {
+		return c.cids[i]
+	}
+	return &c.cidList[i-c.ncids]
 }
 
 // Empty reports whether the command exposes no mutable-core fields at all
 // (echo and information commands, pure result responses).
 func (c CoreFields) Empty() bool {
-	return c.PSM == nil && len(c.CIDs) == 0 && len(c.ControllerIDs) == 0
+	return c.PSM == nil && c.NumCIDs() == 0 && c.ControllerID == nil
 }
 
 // newCommand returns a zero-valued concrete command for code.
@@ -302,7 +355,15 @@ func AppendSignalFrame(dst []byte, id uint8, cmd Command, tail []byte) (out []by
 // command without the tail, reproducing the paper's Figure 7 layout where
 // garbage lives beyond every declared length.
 func SignalPacket(id uint8, cmd Command, tail []byte) Packet {
-	payload, declared := AppendSignalFrame(nil, id, cmd, tail)
+	return AppendSignalPacket(nil, id, cmd, tail)
+}
+
+// AppendSignalPacket is SignalPacket building the payload onto dst
+// (usually a reused scratch buffer with length 0): the returned packet's
+// Payload is the extended slice, which the caller keeps as its scratch
+// for the next packet.
+func AppendSignalPacket(dst []byte, id uint8, cmd Command, tail []byte) Packet {
+	payload, declared := AppendSignalFrame(dst, id, cmd, tail)
 	return Packet{
 		Length:    uint16(min(declared, MaxPayload)),
 		ChannelID: CIDSignaling,

@@ -319,22 +319,33 @@ func ValidEvents(state State) []Event {
 }
 
 // Machine is one channel's state machine instance. The zero value is not
-// usable; construct with NewMachine. Machine is not safe for concurrent
-// use; the device stack serialises access per channel.
+// usable; construct with NewMachine, or Reset a Machine value in place.
+// Machine is not safe for concurrent use; the device stack serialises
+// access per channel.
 type Machine struct {
 	state State
-	// visited accumulates every state the machine has occupied, in first-
-	// visit order, for trace-based coverage measurement; seen holds the
-	// same states as a bit set (bit s for state s).
-	visited []State
-	seen    uint32
+	// visited[:nvisited] holds every state the machine has occupied, in
+	// first-visit order, for trace-based coverage measurement; seen holds
+	// the same states as a bit set (bit s for state s). The list lives
+	// in the machine, so a machine is one allocation for its lifetime.
+	visited  [NumStates]State
+	nvisited uint8
+	seen     uint32
 }
 
 // NewMachine returns a machine resting in CLOSED.
 func NewMachine() *Machine {
-	m := &Machine{state: StateClosed}
-	m.noteVisit(StateClosed)
+	m := new(Machine)
+	m.Reset()
 	return m
+}
+
+// Reset returns the machine to what NewMachine builds — resting in
+// CLOSED with only CLOSED visited — so the machine of a finished channel
+// can serve the next one.
+func (m *Machine) Reset() {
+	*m = Machine{state: StateClosed}
+	m.noteVisit(StateClosed)
 }
 
 // State returns the current state.
@@ -346,7 +357,7 @@ func (m *Machine) Job() Job { return JobOf(m.state) }
 // Visited returns the distinct states the machine has occupied in
 // first-visit order. The returned slice is a copy.
 func (m *Machine) Visited() []State {
-	return append([]State(nil), m.visited...)
+	return append([]State(nil), m.visited[:m.nvisited]...)
 }
 
 // VisitedSet returns the states the machine has occupied as a bit set:
@@ -378,10 +389,15 @@ func (m *Machine) Force(state State) {
 
 func (m *Machine) noteVisit(s State) {
 	m.seen |= 1 << s
-	for _, v := range m.visited {
+	for _, v := range m.visited[:m.nvisited] {
 		if v == s {
 			return
 		}
 	}
-	m.visited = append(m.visited, s)
+	// Apply only enters table states, so the list cannot overflow; an
+	// invalid state forced past NumStates distinct visits is dropped.
+	if int(m.nvisited) < len(m.visited) {
+		m.visited[m.nvisited] = s
+		m.nvisited++
+	}
 }

@@ -161,20 +161,23 @@ func (mu *Mutator) Mutate(id uint8, code l2cap.CommandCode) (l2cap.Packet, Mutat
 		info.PSMMutated = true
 		info.PSM = *core.PSM
 	}
-	for _, cid := range core.CIDs {
-		*cid = mu.NormalCIDP()
+	for i := range core.NumCIDs() {
+		*core.CID(i) = mu.NormalCIDP()
 		info.CIDsMutated++
 	}
-	for _, cont := range core.ControllerIDs {
+	if core.ControllerID != nil {
 		// Controllers 0-3; non-zero values name AMP controllers the
 		// target does not have.
-		*cont = uint8(mu.rng.Intn(4))
+		*core.ControllerID = uint8(mu.rng.Intn(4))
 		info.ControllerIDMutated = true
 	}
 
 	if mu.creditRNG != nil {
 		if cc, ok := cmd.(l2cap.CreditFielder); ok {
 			for _, field := range cc.CreditFields() {
+				if field == nil {
+					break
+				}
 				*field = mu.creditValue()
 				info.CreditFieldsMutated++
 			}
@@ -183,13 +186,9 @@ func (mu *Mutator) Mutate(id uint8, code l2cap.CommandCode) (l2cap.Packet, Mutat
 
 	tail := mu.Garbage()
 	info.GarbageLen = len(tail)
-	payload, declared := l2cap.AppendSignalFrame(mu.payload[:0], id, cmd, tail)
-	mu.payload = payload
-	return l2cap.Packet{
-		Length:    uint16(min(declared, l2cap.MaxPayload)),
-		ChannelID: l2cap.CIDSignaling,
-		Payload:   payload,
-	}, info, nil
+	pkt := l2cap.AppendSignalPacket(mu.payload[:0], id, cmd, tail)
+	mu.payload = pkt.Payload
+	return pkt, info, nil
 }
 
 // creditValue samples one credit-negotiation field: the boundary values

@@ -31,6 +31,21 @@ const dataOnlyEvery = 50
 type Fuzzer struct {
 	cl  *host.Client
 	rng *rand.Rand
+
+	// corpus holds the seed commands, refilled in place per burst, and
+	// wire the packet being scrambled: a send marshals the packet
+	// before the next one is built, so one of each suffices.
+	corpus seedCorpus
+	wire   []byte
+}
+
+// seedCorpus is the fuzzer-owned storage behind seeds.
+type seedCorpus struct {
+	conn   l2cap.ConnectionReq
+	cfgReq l2cap.ConfigurationReq
+	cfgRsp l2cap.ConfigurationRsp
+	echo   l2cap.EchoReq
+	set    [4]l2cap.Command
 }
 
 var _ fuzzers.Fuzzer = (*Fuzzer)(nil)
@@ -43,18 +58,26 @@ func New(cl *host.Client, seed int64) *Fuzzer {
 // Name implements fuzzers.Fuzzer.
 func (f *Fuzzer) Name() string { return "BFuzz" }
 
+// The constant parts of the seed corpus, shared read-only.
+var (
+	seedOptions  = []l2cap.ConfigOption{l2cap.MTUOption(672)}
+	seedEchoData = []byte{0xDE, 0xAD, 0xBE, 0xEF}
+)
+
 // seeds are the previously-vulnerable packet shapes BFuzz replays: the
-// BlueBorne-style connect/configure conversation.
-func seeds(scid, dcid l2cap.CID) []l2cap.Command {
-	return []l2cap.Command{
-		// The connect seed targets RFCOMM: the original BlueBorne-era
-		// corpus fuzzed classic profiles, and a pairing-gated port keeps
-		// accidental channel creation out of the mutation burst.
-		&l2cap.ConnectionReq{PSM: l2cap.PSMRFCOMM, SCID: scid},
-		&l2cap.ConfigurationReq{DCID: dcid, Options: []l2cap.ConfigOption{l2cap.MTUOption(672)}},
-		&l2cap.ConfigurationRsp{SCID: dcid, Result: l2cap.ConfigPending},
-		&l2cap.EchoReq{Data: []byte{0xDE, 0xAD, 0xBE, 0xEF}},
-	}
+// BlueBorne-style connect/configure conversation. The commands live in
+// the fuzzer's corpus storage and are valid until the next call.
+func (f *Fuzzer) seeds(scid, dcid l2cap.CID) []l2cap.Command {
+	c := &f.corpus
+	// The connect seed targets RFCOMM: the original BlueBorne-era
+	// corpus fuzzed classic profiles, and a pairing-gated port keeps
+	// accidental channel creation out of the mutation burst.
+	c.conn = l2cap.ConnectionReq{PSM: l2cap.PSMRFCOMM, SCID: scid}
+	c.cfgReq = l2cap.ConfigurationReq{DCID: dcid, Options: seedOptions}
+	c.cfgRsp = l2cap.ConfigurationRsp{SCID: dcid, Result: l2cap.ConfigPending}
+	c.echo = l2cap.EchoReq{Data: seedEchoData}
+	c.set = [4]l2cap.Command{&c.conn, &c.cfgReq, &c.cfgRsp, &c.echo}
+	return c.set[:]
 }
 
 // Run alternates a short valid handshake (so some state is reachable)
@@ -81,10 +104,10 @@ func (f *Fuzzer) Run(target radio.BDAddr, maxPackets int) (res fuzzers.Result, e
 		f.cl.Clock().Advance(4 * ThinkTime)
 
 		// Mutation burst over the seed corpus.
+		seedSet := f.seeds(local, remote)
 		for burst := 0; burst < 2048 && sent < maxPackets; burst++ {
-			seedSet := seeds(local, remote)
 			cmd := seedSet[f.rng.Intn(len(seedSet))]
-			pkt := f.scramble(l2cap.SignalPacket(f.cl.NextID(), cmd, nil), sent)
+			pkt := f.scramble(f.cl.NextID(), cmd, sent)
 			if err := f.cl.Send(target, pkt); err != nil {
 				res.PacketsSent = sent
 				return res, nil
@@ -105,16 +128,16 @@ func (f *Fuzzer) Run(target radio.BDAddr, maxPackets int) (res fuzzers.Result, e
 	return res, nil
 }
 
-// scramble mutates almost every field of the packet. Usually the
-// dependent length fields are corrupted too — producing an *invalid*
-// packet the target rejects with "command not understood" — and
-// occasionally only the data bytes, producing a decodable malformed
-// packet.
-func (f *Fuzzer) scramble(pkt l2cap.Packet, ordinal int) l2cap.Packet {
-	payload := append([]byte(nil), pkt.Payload...)
-	if len(payload) < l2cap.SignalHeaderSize {
-		return pkt
-	}
+// scramble builds the signaling packet for cmd and mutates almost every
+// field of it. Usually the dependent length fields are corrupted too —
+// producing an *invalid* packet the target rejects with "command not
+// understood" — and occasionally only the data bytes, producing a
+// decodable malformed packet. The packet's payload is the fuzzer's wire
+// scratch, valid until the next call.
+func (f *Fuzzer) scramble(id uint8, cmd l2cap.Command, ordinal int) l2cap.Packet {
+	pkt := l2cap.AppendSignalPacket(f.wire[:0], id, cmd, nil)
+	payload := pkt.Payload
+	f.wire = payload
 	if ordinal%dataOnlyEvery == 0 {
 		// Data-only mutation: lengths stay coherent.
 		for i := l2cap.SignalHeaderSize; i < len(payload); i++ {
@@ -136,6 +159,5 @@ func (f *Fuzzer) scramble(pkt l2cap.Packet, ordinal int) l2cap.Packet {
 			payload[0] = byte(f.rng.Intn(256)) // command code
 		}
 	}
-	pkt.Payload = payload
 	return pkt
 }

@@ -26,7 +26,18 @@ const ThinkTime = 430 * time.Millisecond
 type Fuzzer struct {
 	cl  *host.Client
 	rng *rand.Rand
+
+	// The commands Run sends, refilled in place per send (the client
+	// marshals each before the next is built), and the echo payload
+	// scratch.
+	conn     l2cap.ConnectionReq
+	info     l2cap.InformationReq
+	echo     l2cap.EchoReq
+	echoData [maxEchoData]byte
 }
+
+// maxEchoData bounds the varied echo payload: lengths 0..maxEchoData-1.
+const maxEchoData = 44
 
 var _ fuzzers.Fuzzer = (*Fuzzer)(nil)
 
@@ -63,7 +74,8 @@ loop:
 		case 7:
 			// The occasional plain connect exercises the connection path;
 			// the channel is left unconfigured and dies with the link.
-			if !send(&l2cap.ConnectionReq{PSM: l2cap.PSMSDP, SCID: f.cl.NextSourceCID()}) {
+			f.conn = l2cap.ConnectionReq{PSM: l2cap.PSMSDP, SCID: f.cl.NextSourceCID()}
+			if !send(&f.conn) {
 				break loop
 			}
 			f.cl.Disconnect(target)
@@ -74,16 +86,18 @@ loop:
 			res.Cycles++
 		case 3:
 			// Information request with the type field varied.
-			if !send(&l2cap.InformationReq{InfoType: l2cap.InfoType(f.rng.Intn(4))}) {
+			f.info.InfoType = l2cap.InfoType(f.rng.Intn(4))
+			if !send(&f.info) {
 				break loop
 			}
 		default:
 			// l2ping-style echo with the data field varied.
-			data := make([]byte, f.rng.Intn(44))
+			data := f.echoData[:f.rng.Intn(maxEchoData)]
 			for i := range data {
 				data[i] = byte(f.rng.Intn(256))
 			}
-			if !send(&l2cap.EchoReq{Data: data}) {
+			f.echo.Data = data
+			if !send(&f.echo) {
 				break loop
 			}
 		}

@@ -28,7 +28,23 @@ const anomalyEvery = 30
 type Fuzzer struct {
 	cl  *host.Client
 	rng *rand.Rand
+
+	// The template's commands, refilled in place per send: the client
+	// marshals each before the next is built.
+	conn   l2cap.ConnectionReq
+	disc   l2cap.DisconnectionReq
+	cfgReq l2cap.ConfigurationReq
+	cfgRsp l2cap.ConfigurationRsp
+	echo   l2cap.EchoReq
+	info   l2cap.InformationReq
 }
+
+// The constant parts of the templates, shared read-only.
+var (
+	garbageTail = []byte{0xFF, 0xFF, 0xFF, 0xFF}
+	mtuOptions  = []l2cap.ConfigOption{l2cap.MTUOption(672)}
+	echoData    = []byte("defensics")
+)
 
 var _ fuzzers.Fuzzer = (*Fuzzer)(nil)
 
@@ -74,13 +90,14 @@ func (f *Fuzzer) Run(target radio.BDAddr, maxPackets int) (res fuzzers.Result, e
 		anomalize := res.Cycles%(anomalyEvery/6) == 0
 		scid := f.cl.NextSourceCID()
 
-		connReq := &l2cap.ConnectionReq{PSM: l2cap.PSMSDP, SCID: scid}
+		connReq := &f.conn
+		*connReq = l2cap.ConnectionReq{PSM: l2cap.PSMSDP, SCID: scid}
 		var connTail []byte
 		var badCIDProbe bool
 		if anomalize {
 			switch f.rng.Intn(10) {
 			case 0, 1, 2, 3: // garbage-tail anomaly
-				connTail = []byte{0xFF, 0xFF, 0xFF, 0xFF}
+				connTail = garbageTail
 			case 4, 5, 6: // abnormal-PSM anomaly (refused by the target)
 				connReq.PSM = 0x0100 + l2cap.PSM(f.rng.Intn(0x100))
 			case 7, 8: // boundary SCID anomaly (reserved range)
@@ -90,9 +107,8 @@ func (f *Fuzzer) Run(target radio.BDAddr, maxPackets int) (res fuzzers.Result, e
 			}
 		}
 		if badCIDProbe {
-			if _, err := f.cl.SendCommand(target, &l2cap.DisconnectionReq{
-				DCID: l2cap.CID(0x2000 + f.rng.Intn(0x1000)), SCID: scid,
-			}, nil); err != nil {
+			f.disc = l2cap.DisconnectionReq{DCID: l2cap.CID(0x2000 + f.rng.Intn(0x1000)), SCID: scid}
+			if _, err := f.cl.SendCommand(target, &f.disc, nil); err != nil {
 				break
 			}
 			f.cl.Clock().Advance(ThinkTime)
@@ -122,25 +138,27 @@ func (f *Fuzzer) Run(target radio.BDAddr, maxPackets int) (res fuzzers.Result, e
 			}
 		}
 		if accepted {
-			if !send(&l2cap.ConfigurationReq{
-				DCID:    dcid,
-				Options: []l2cap.ConfigOption{l2cap.MTUOption(672)},
-			}, nil) {
+			f.cfgReq = l2cap.ConfigurationReq{DCID: dcid, Options: mtuOptions}
+			if !send(&f.cfgReq, nil) {
 				break
 			}
 			for answered := 0; answered < deviceReqs; answered++ {
-				if !send(&l2cap.ConfigurationRsp{SCID: dcid, Result: l2cap.ConfigSuccess}, nil) {
+				f.cfgRsp = l2cap.ConfigurationRsp{SCID: dcid, Result: l2cap.ConfigSuccess}
+				if !send(&f.cfgRsp, nil) {
 					break
 				}
 			}
 			// One probe per state in the open phase.
-			if !send(&l2cap.EchoReq{Data: []byte("defensics")}, nil) {
+			f.echo.Data = echoData
+			if !send(&f.echo, nil) {
 				break
 			}
-			if !send(&l2cap.InformationReq{InfoType: l2cap.InfoTypeExtendedFeatures}, nil) {
+			f.info.InfoType = l2cap.InfoTypeExtendedFeatures
+			if !send(&f.info, nil) {
 				break
 			}
-			if !send(&l2cap.DisconnectionReq{DCID: dcid, SCID: scid}, nil) {
+			f.disc = l2cap.DisconnectionReq{DCID: dcid, SCID: scid}
+			if !send(&f.disc, nil) {
 				break
 			}
 		}

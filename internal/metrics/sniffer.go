@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -38,9 +39,11 @@ type Sniffer struct {
 	lastTime  time.Duration
 	started   bool
 
-	// mpSeries/prSeries record (X, Y) after every relevant packet.
-	mpSeries []SamplePoint
-	prSeries []SamplePoint
+	// mpVerdicts/prVerdicts hold one verdict bit per transmitted and
+	// received packet (malformed, rejection). The Figure 8/9 series are
+	// prefix counts over them, rebuilt on demand by MPSeries/PRSeries.
+	mpVerdicts verdicts
+	prVerdicts verdicts
 
 	// allocation tracking: channel endpoints observed as legitimately
 	// allocated (device side and tester side), plus in-flight requests.
@@ -116,22 +119,29 @@ func (s *Sniffer) onFrame(f radio.TapFrame) {
 	}
 }
 
-// onTx classifies one tester-to-target L2CAP frame.
+// onTx counts one tester-to-target L2CAP frame and records its
+// malformed verdict.
 func (s *Sniffer) onTx(raw []byte) {
 	s.transmitted++
-	defer func() {
-		s.mpSeries = append(s.mpSeries, SamplePoint{X: s.transmitted, Y: s.malformed})
-	}()
+	malformed := s.classifyTx(raw)
+	if malformed {
+		s.malformed++
+	}
+	s.mpVerdicts.push(malformed)
+}
 
+// classifyTx decodes one transmitted frame, feeds the state inferencer,
+// and reports whether the packet is valid malformed.
+func (s *Sniffer) classifyTx(raw []byte) bool {
 	pkt, err := l2cap.ParsePacket(raw)
 	if err != nil || !pkt.IsSignaling() {
-		return // data-plane traffic (e.g. SDP) is normal
+		return false // data-plane traffic (e.g. SDP) is normal
 	}
-	frames, err := l2cap.AppendSignals(s.sigFrames[:0], pkt.Payload)
+	frames, ok := l2cap.SplitSignals(s.sigFrames[:0], pkt.Payload)
 	s.sigFrames = frames[:0]
-	if err != nil {
+	if !ok {
 		s.invalidTx++
-		return
+		return false
 	}
 	// One malformed verdict per packet at most, but every decodable
 	// frame still feeds the state inferencer: BR/EDR packs several
@@ -146,11 +156,11 @@ func (s *Sniffer) onTx(raw []byte) {
 		}
 		s.pendingTx[fr.Identifier] = fr.Code
 		s.states.ObserveTx(fr, cmd)
-		if !verdict && s.isMalformed(fr, cmd) {
-			s.malformed++
-			verdict = true
+		if !verdict {
+			verdict = s.isMalformed(fr, cmd)
 		}
 	}
+	return verdict
 }
 
 // isMalformed implements the valid-malformed classification.
@@ -171,29 +181,37 @@ func (s *Sniffer) isMalformed(fr l2cap.Frame, cmd l2cap.Command) bool {
 		l2cap.CodeInformationReq, l2cap.CodeInformationRsp:
 		return false
 	}
-	for _, cid := range core.CIDs {
-		if !s.allocated.has(*cid) {
+	for i := range core.NumCIDs() {
+		if !s.allocated.has(*core.CID(i)) {
 			return true
 		}
 	}
 	return false
 }
 
-// onRx classifies one target-to-tester L2CAP frame.
+// onRx counts one target-to-tester L2CAP frame and records its
+// rejection verdict.
 func (s *Sniffer) onRx(raw []byte) {
 	s.received++
-	defer func() {
-		s.prSeries = append(s.prSeries, SamplePoint{X: s.received, Y: s.rejections})
-	}()
+	rejected := s.classifyRx(raw)
+	if rejected {
+		s.rejections++
+	}
+	s.prVerdicts.push(rejected)
+}
 
+// classifyRx decodes one received frame, feeds the allocation tracking
+// and the state inferencer, and reports whether the packet is a
+// rejection.
+func (s *Sniffer) classifyRx(raw []byte) bool {
 	pkt, err := l2cap.ParsePacket(raw)
 	if err != nil || !pkt.IsSignaling() {
-		return
+		return false
 	}
-	frames, err := l2cap.AppendSignals(s.sigFrames[:0], pkt.Payload)
+	frames, ok := l2cap.SplitSignals(s.sigFrames[:0], pkt.Payload)
 	s.sigFrames = frames[:0]
-	if err != nil {
-		return
+	if !ok {
+		return false
 	}
 	// As on the Tx side: one rejection verdict per packet, every frame
 	// observed.
@@ -207,12 +225,10 @@ func (s *Sniffer) onRx(raw []byte) {
 		s.states.ObserveRx(fr, cmd)
 		if isRejection(cmd) {
 			s.correlateReject(fr)
-			if !verdict {
-				s.rejections++
-				verdict = true
-			}
+			verdict = true
 		}
 	}
+	return verdict
 }
 
 // correlateReject attributes one received Command Reject to the tester
@@ -328,25 +344,59 @@ func (s *Sniffer) RejectionsByCode() map[l2cap.CommandCode]int {
 
 // MPSeries returns the cumulative malformed-vs-transmitted series sampled
 // every step packets (Figure 8). A step below 1 returns every point.
-func (s *Sniffer) MPSeries(step int) []SamplePoint { return sample(s.mpSeries, step) }
+func (s *Sniffer) MPSeries(step int) []SamplePoint { return s.mpVerdicts.series(step) }
 
 // PRSeries returns the cumulative rejections-vs-received series sampled
 // every step packets (Figure 9).
-func (s *Sniffer) PRSeries(step int) []SamplePoint { return sample(s.prSeries, step) }
+func (s *Sniffer) PRSeries(step int) []SamplePoint { return s.prVerdicts.series(step) }
 
 // StatesVisited returns the trace-inferred visited states.
 func (s *Sniffer) StatesVisited() []VisitedState { return s.states.Visited() }
 
-func sample(points []SamplePoint, step int) []SamplePoint {
+// verdicts is a growable bit string with one bit per packet, in packet
+// order. A cumulative series point (X, Y) is X packets with Y of them
+// flagged, so the bits alone hold a whole Figure 8/9 series at one bit
+// per packet; series rebuilds the sampled points from prefix counts.
+type verdicts struct {
+	words []uint64
+	n     int
+}
+
+// push appends the verdict of the next packet.
+func (v *verdicts) push(flagged bool) {
+	if v.n%64 == 0 {
+		v.words = append(v.words, 0)
+	}
+	if flagged {
+		v.words[v.n/64] |= 1 << (v.n % 64)
+	}
+	v.n++
+}
+
+// series returns the point after every step-th packet, plus the final
+// point when the count is not a multiple of step; a step below 1 returns
+// every point. A stream with no packets has no points (nil).
+func (v *verdicts) series(step int) []SamplePoint {
 	if step < 1 {
 		step = 1
 	}
 	var out []SamplePoint
-	for i := step - 1; i < len(points); i += step {
-		out = append(out, points[i])
+	// y counts the flagged packets among the first 64*word.
+	y, word := 0, 0
+	point := func(i int) SamplePoint {
+		for ; word < i/64; word++ {
+			y += bits.OnesCount64(v.words[word])
+		}
+		// Bits 0..i%64 of the word; at i%64 == 63 the shift yields 0 and
+		// the mask wraps to all ones.
+		mask := uint64(1)<<(i%64+1) - 1
+		return SamplePoint{X: i + 1, Y: y + bits.OnesCount64(v.words[word]&mask)}
 	}
-	if n := len(points); n > 0 && (len(out) == 0 || out[len(out)-1].X != points[n-1].X) {
-		out = append(out, points[n-1])
+	for i := step - 1; i < v.n; i += step {
+		out = append(out, point(i))
+	}
+	if v.n > 0 && (len(out) == 0 || out[len(out)-1].X != v.n) {
+		out = append(out, point(v.n-1))
 	}
 	return out
 }

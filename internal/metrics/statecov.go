@@ -14,7 +14,7 @@ type VisitedState = sm.State
 // endpoint names (the device-side CID from the response, the tester-side
 // CID from the request).
 type shadowChan struct {
-	m         *sm.Machine
+	m         sm.Machine
 	deviceCID l2cap.CID
 	testerCID l2cap.CID
 }
@@ -41,6 +41,10 @@ type StateInferencer struct {
 	// visited accumulates states across all shadows, including closed
 	// channels: bit s is set once state s was visited.
 	visited uint32
+	// spare holds retired shadows for newShadow to reuse. A shadow is
+	// retired once no index or pending entry refers to it, and only
+	// after its visits were absorbed.
+	spare []*shadowChan
 }
 
 // NewStateInferencer returns an empty inferencer.
@@ -48,11 +52,35 @@ func NewStateInferencer() *StateInferencer {
 	return &StateInferencer{}
 }
 
-// drop removes a shadow from the indexes, absorbing its visit history.
+// newShadow returns a shadow for a tester request opening testerCID,
+// its machine fresh in CLOSED.
+func (si *StateInferencer) newShadow(testerCID l2cap.CID) *shadowChan {
+	var sc *shadowChan
+	if n := len(si.spare); n > 0 {
+		sc = si.spare[n-1]
+		si.spare = si.spare[:n-1]
+	} else {
+		sc = new(shadowChan)
+	}
+	sc.m.Reset()
+	sc.deviceCID, sc.testerCID = 0, testerCID
+	return sc
+}
+
+// retire absorbs a shadow's visit history and keeps it for reuse. The
+// caller has removed every reference to it.
+func (si *StateInferencer) retire(sc *shadowChan) {
+	si.absorb(sc)
+	si.spare = append(si.spare, sc)
+}
+
+// drop removes a shadow from the indexes and retires it. A live shadow is
+// bound in both indexes, at its own CIDs: every rebinding drops the
+// previous holder first.
 func (si *StateInferencer) drop(sc *shadowChan) {
-	si.absorb(sc.m)
 	si.byDevice.set(sc.deviceCID, nil)
 	si.byTester.set(sc.testerCID, nil)
+	si.retire(sc)
 }
 
 // pendingIndex returns the position in pendingConn of the shadow awaiting
@@ -70,6 +98,7 @@ func (si *StateInferencer) pendingIndex(scid l2cap.CID) int {
 // replacing any earlier one.
 func (si *StateInferencer) addPending(sc *shadowChan) {
 	if i := si.pendingIndex(sc.testerCID); i >= 0 {
+		si.retire(si.pendingConn[i])
 		si.pendingConn[i] = sc
 		return
 	}
@@ -81,15 +110,15 @@ func (si *StateInferencer) ObserveTx(fr l2cap.Frame, cmd l2cap.Command) {
 	switch c := cmd.(type) {
 	case *l2cap.ConnectionReq:
 		// The target enters WAIT_CONNECT while deciding.
-		sc := &shadowChan{m: sm.NewMachine(), testerCID: c.SCID}
+		sc := si.newShadow(c.SCID)
 		sc.m.Apply(sm.EvRecvConnectReq)
 		si.addPending(sc)
-		si.absorb(sc.m)
+		si.absorb(sc)
 	case *l2cap.CreateChannelReq:
-		sc := &shadowChan{m: sm.NewMachine(), testerCID: c.SCID}
+		sc := si.newShadow(c.SCID)
 		sc.m.Apply(sm.EvRecvCreateReq)
 		si.addPending(sc)
-		si.absorb(sc.m)
+		si.absorb(sc)
 	case *l2cap.ConfigurationReq:
 		if sc := si.byDevice.get(c.DCID); sc != nil {
 			ev := sm.EvRecvConfigReq
@@ -97,14 +126,14 @@ func (si *StateInferencer) ObserveTx(fr l2cap.Frame, cmd l2cap.Command) {
 				ev = sm.EvRecvConfigReqEFS
 			}
 			sc.m.Apply(ev)
-			si.absorb(sc.m)
+			si.absorb(sc)
 		}
 	case *l2cap.ConfigurationRsp:
 		// In a tester-sent response the SCID names the device-side
 		// endpoint.
 		if sc := si.byDevice.get(c.SCID); sc != nil {
 			sc.m.Apply(sm.EvRecvConfigRsp)
-			si.absorb(sc.m)
+			si.absorb(sc)
 		}
 	case *l2cap.DisconnectionReq:
 		if sc := si.byDevice.get(c.DCID); sc != nil {
@@ -117,12 +146,12 @@ func (si *StateInferencer) ObserveTx(fr l2cap.Frame, cmd l2cap.Command) {
 	case *l2cap.MoveChannelReq:
 		if sc := si.byDevice.get(c.ICID); sc != nil {
 			sc.m.Apply(sm.EvRecvMoveReq)
-			si.absorb(sc.m)
+			si.absorb(sc)
 		}
 	case *l2cap.MoveChannelConfirmReq:
 		if sc := si.byDevice.get(c.ICID); sc != nil {
 			sc.m.Apply(sm.EvRecvMoveConfirmReq)
-			si.absorb(sc.m)
+			si.absorb(sc)
 		}
 	default:
 	}
@@ -140,7 +169,7 @@ func (si *StateInferencer) ObserveRx(fr l2cap.Frame, cmd l2cap.Command) {
 		// names the tester-side endpoint.
 		if sc := si.byTester.get(c.DCID); sc != nil {
 			sc.m.Apply(sm.EvLocalSendConfigReq)
-			si.absorb(sc.m)
+			si.absorb(sc)
 		}
 	case *l2cap.ConfigurationRsp:
 		// The SCID in a device-sent response names the tester-side
@@ -150,13 +179,13 @@ func (si *StateInferencer) ObserveRx(fr l2cap.Frame, cmd l2cap.Command) {
 			if c.Result != l2cap.ConfigPending && sc.m.State() == sm.StateWaitIndFinalRsp {
 				sc.m.Apply(sm.EvLocalFinalRsp)
 			}
-			si.absorb(sc.m)
+			si.absorb(sc)
 		}
 	case *l2cap.MoveChannelRsp:
 		if c.Result == l2cap.MoveResultSuccess {
 			if sc := si.byDevice.get(c.ICID); sc != nil && sc.m.State() == sm.StateWaitMove {
 				sc.m.Apply(sm.EvLocalAccept)
-				si.absorb(sc.m)
+				si.absorb(sc)
 			}
 		}
 	default:
@@ -181,7 +210,7 @@ func (si *StateInferencer) completeConnect(scid, dcid l2cap.CID, result l2cap.Co
 	}
 	si.pendingConn = slices.Delete(si.pendingConn, i, i+1)
 	if result != l2cap.ConnResultSuccess {
-		si.absorb(sc.m)
+		si.retire(sc)
 		return
 	}
 	// A reused device CID means the old channel is gone (link loss the
@@ -196,11 +225,11 @@ func (si *StateInferencer) completeConnect(scid, dcid l2cap.CID, result l2cap.Co
 	sc.deviceCID = dcid
 	si.byDevice.set(dcid, sc)
 	si.byTester.set(scid, sc)
-	si.absorb(sc.m)
+	si.absorb(sc)
 }
 
-func (si *StateInferencer) absorb(m *sm.Machine) {
-	si.visited |= m.VisitedSet()
+func (si *StateInferencer) absorb(sc *shadowChan) {
+	si.visited |= sc.m.VisitedSet()
 }
 
 // Visited returns the inferred visited states in declaration order.

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math/rand"
 	"testing"
 
 	"l2fuzz/internal/bt/l2cap"
@@ -89,5 +90,60 @@ func TestInferencerDropsShadowOnFinalRefusal(t *testing.T) {
 	}
 	if visited[sm.StateWaitConfig] {
 		t.Errorf("refused connect credited WAIT_CONFIG: %v", si.Visited())
+	}
+}
+
+// TestInferencerRecyclesOnlyUnreferencedShadows drives random connect,
+// response, configure and disconnect traffic over a few CIDs and checks,
+// after every command, that a retired shadow is never still referenced:
+// each sits in the spare list once, outside the pending list and both
+// indexes, so newShadow can never hand out a shadow that is in use.
+func TestInferencerRecyclesOnlyUnreferencedShadows(t *testing.T) {
+	si := NewStateInferencer()
+	rng := rand.New(rand.NewSource(1))
+	cid := func() l2cap.CID { return l2cap.CID(0x40 + rng.Intn(4)) }
+	results := []l2cap.ConnResult{l2cap.ConnResultSuccess, l2cap.ConnResultPending, l2cap.ConnResultPSMNotSupported}
+	for step := 0; step < 20_000; step++ {
+		switch rng.Intn(6) {
+		case 0:
+			si.ObserveTx(l2cap.Frame{}, &l2cap.ConnectionReq{PSM: l2cap.PSMAVDTP, SCID: cid()})
+		case 1:
+			si.ObserveTx(l2cap.Frame{}, &l2cap.CreateChannelReq{PSM: l2cap.PSMAVDTP, SCID: cid()})
+		case 2:
+			si.ObserveRx(l2cap.Frame{}, &l2cap.ConnectionRsp{
+				SCID: cid(), DCID: cid() + 0x10, Result: results[rng.Intn(len(results))]})
+		case 3:
+			si.ObserveTx(l2cap.Frame{}, &l2cap.ConfigurationReq{DCID: cid() + 0x10})
+		case 4:
+			si.ObserveRx(l2cap.Frame{}, &l2cap.ConfigurationRsp{SCID: cid()})
+		case 5:
+			si.ObserveTx(l2cap.Frame{}, &l2cap.DisconnectionReq{DCID: cid() + 0x10, SCID: cid()})
+		}
+		live := make(map[*shadowChan]bool)
+		for _, sc := range si.pendingConn {
+			live[sc] = true
+		}
+		for _, table := range []*cidTable{&si.byDevice, &si.byTester} {
+			for _, page := range table.pages {
+				if page == nil {
+					continue
+				}
+				for _, sc := range page {
+					if sc != nil {
+						live[sc] = true
+					}
+				}
+			}
+		}
+		spare := make(map[*shadowChan]bool)
+		for _, sc := range si.spare {
+			if spare[sc] || live[sc] {
+				t.Fatalf("step %d: shadow %p retired twice or retired while referenced", step, sc)
+			}
+			spare[sc] = true
+		}
+	}
+	if len(si.spare) == 0 {
+		t.Fatal("traffic retired no shadow; the check saw no recycling")
 	}
 }

@@ -265,11 +265,11 @@ func (f *Fuzzer) build(code l2cap.CommandCode) (l2cap.Command, []byte) {
 	if core.PSM != nil {
 		*core.PSM = f.choosePSM()
 	}
-	for _, cid := range core.CIDs {
-		*cid = f.chooseCID()
+	for i := range core.NumCIDs() {
+		*core.CID(i) = f.chooseCID()
 	}
-	for _, cont := range core.ControllerIDs {
-		*cont = uint8(f.rng.Intn(4))
+	if core.ControllerID != nil {
+		*core.ControllerID = uint8(f.rng.Intn(4))
 	}
 	if req, ok := cmd.(*l2cap.ConnectionReq); ok {
 		// A fresh requester-side endpoint keeps each opened channel
