@@ -120,6 +120,16 @@ type channel struct {
 // New and Reset both build through it, so a reset re-arms the defect and
 // clears the crashed state exactly like the RFCOMM mux rebuild.
 func newSDPServer(ports []ServicePort, cfg Config) *sdp.Server {
+	defect := cfg.SDPDefect
+	if cfg.DisableVulns {
+		defect = nil
+	}
+	return sdp.NewDefectiveServer(sdpServices(ports), defect)
+}
+
+// sdpServices lists the service records the device publishes: one per
+// port, with record handles numbered from 0x00010000.
+func sdpServices(ports []ServicePort) []sdp.ServiceInfo {
 	var services []sdp.ServiceInfo
 	for i, p := range ports {
 		services = append(services, sdp.ServiceInfo{
@@ -128,11 +138,7 @@ func newSDPServer(ports []ServicePort, cfg Config) *sdp.Server {
 			PSM:    p.PSM,
 		})
 	}
-	defect := cfg.SDPDefect
-	if cfg.DisableVulns {
-		defect = nil
-	}
-	return sdp.NewDefectiveServer(services, defect)
+	return services
 }
 
 // New builds a device, registers its controller on the medium, and wires
@@ -286,6 +292,8 @@ func (d *Device) onData(h hci.ConnHandle, pkt l2cap.Packet) {
 	switch {
 	case ch.psm == l2cap.PSMSDP:
 		d.sdpHits++
+		// The response borrows the server's bytes; send marshals it
+		// into the device's own scratch before the next Handle.
 		if rsp := d.sdpSrv.Handle(body); rsp != nil {
 			d.send(h, l2cap.NewPacket(ch.remoteCID, rsp))
 		}

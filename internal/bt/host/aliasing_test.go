@@ -1,10 +1,11 @@
 package host_test
 
-// Aliasing/reuse regression tests for the pooled packet path: anything a
+// Aliasing/reuse regression tests for the packet path: anything a
 // component retains past its ownership window must be a copy, so
 // mutating released or reused buffers must never reach it. These tests
-// deliberately hammer the reuse paths (scratch marshal buffers, pooled
-// inbox payloads) after taking snapshots, and fail if a snapshot moves.
+// deliberately hammer the reuse paths (scratch marshal buffers, the
+// client's inbox arenas) after taking snapshots, and fail if a snapshot
+// moves.
 
 import (
 	"bytes"
@@ -12,7 +13,7 @@ import (
 
 	"l2fuzz/internal/bt/host"
 	"l2fuzz/internal/bt/l2cap"
-	"l2fuzz/internal/bt/pool"
+	"l2fuzz/internal/bt/radio"
 )
 
 // TestRecordedWireSurvivesScratchReuse pins the recorder's copy
@@ -52,31 +53,66 @@ func TestRecordedWireSurvivesScratchReuse(t *testing.T) {
 	}
 }
 
+// echoRound sends one Echo Request per data block and returns the
+// drained responses.
+func echoRound(t *testing.T, cl *host.Client, target radio.BDAddr, data ...[]byte) []l2cap.Packet {
+	t.Helper()
+	for _, d := range data {
+		if _, err := cl.SendCommand(target, &l2cap.EchoReq{Data: d}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := cl.Drain()
+	if len(batch) != len(data) {
+		t.Fatalf("drained %d packets, want %d", len(batch), len(data))
+	}
+	return batch
+}
+
+// sigHeaderSize is a signaling command's header (code, identifier,
+// length) ahead of its data in a drained payload.
+const sigHeaderSize = 4
+
+// samePayloadStorage reports whether two non-empty payloads start at
+// the same byte: the later one was written into the earlier's storage.
+func samePayloadStorage(a, b []byte) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
 // TestDrainBatchStableUntilNextDrain pins the Drain ownership window: a
-// drained batch stays intact while new responses arrive, and is only
-// recycled by the next Drain.
+// drained batch stays intact while new responses arrive and through the
+// next Drain, and only the Drain after next hands its storage to new
+// traffic. Copies taken inside the window survive that reuse.
 func TestDrainBatchStableUntilNextDrain(t *testing.T) {
 	cl, _, target := recordRig(t, 0)
 	if err := cl.Connect(target); err != nil {
 		t.Fatal(err)
 	}
-	// Round 1: provoke an echo response and drain it.
-	if _, err := cl.SendCommand(target, &l2cap.EchoReq{Data: []byte("round-one")}, nil); err != nil {
-		t.Fatal(err)
+	// Grow both inbox arenas past this test's traffic first: a batch
+	// that outgrows its arena moves to a new array, and the payloads
+	// before the move would never be reused.
+	bulk := make([][]byte, 32)
+	for i := range bulk {
+		bulk[i] = bytes.Repeat([]byte{0xEE}, 48)
 	}
-	batch := cl.Drain()
-	if len(batch) == 0 {
-		t.Fatal("no response drained")
-	}
+	echoRound(t, cl, target, bulk...)
+	echoRound(t, cl, target, bulk...)
+
+	batch := echoRound(t, cl, target,
+		[]byte("round-one"), bytes.Repeat([]byte{0x11}, 40))
+	// held keeps the payload slices themselves: the packet slice Drain
+	// returns is reused too, so its entries cannot witness the reuse.
+	held := make([][]byte, len(batch))
 	snap := make([][]byte, len(batch))
 	for i, pkt := range batch {
+		held[i] = pkt.Payload
 		snap[i] = append([]byte(nil), pkt.Payload...)
 	}
 
 	// New traffic arrives while the batch is still borrowed: it must not
-	// touch the batch (deliveries go to the other inbox buffer).
-	for i := 0; i < 32; i++ {
-		if _, err := cl.SendCommand(target, &l2cap.EchoReq{Data: bytes.Repeat([]byte{0xEE}, 48)}, nil); err != nil {
+	// touch the batch (deliveries go to the other inbox arena).
+	for _, d := range bulk {
+		if _, err := cl.SendCommand(target, &l2cap.EchoReq{Data: d}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,39 +122,110 @@ func TestDrainBatchStableUntilNextDrain(t *testing.T) {
 		}
 	}
 
-	// The next Drain ends the window: released payloads go back to the
-	// pool, and a subsequent borrower may scribble over them. The
-	// explicit copies must be unaffected.
+	// The next Drain ends the window; the batch after it lands in the
+	// first batch's storage, with different contents.
 	cl.Drain()
-	scribble := pool.Get(len(snap[0]))
-	for i := range scribble {
-		scribble[i] = 0x5A
-	}
-	for i := range snap {
-		if len(snap[i]) > 0 && bytes.Equal(snap[i], bytes.Repeat([]byte{0x5A}, len(snap[i]))) {
-			t.Fatalf("pinned copy %d aliases a pooled buffer", i)
+	next := [][]byte{bytes.Repeat([]byte{0x5A}, 9), bytes.Repeat([]byte{0xA5}, 40)}
+	reused := echoRound(t, cl, target, next...)
+	for i := range held {
+		if !samePayloadStorage(held[i], reused[i].Payload) {
+			t.Fatalf("packet %d: the Drain after next did not reuse the first batch's storage", i)
+		}
+		if got := held[i][sigHeaderSize:]; !bytes.Equal(got, next[i]) {
+			t.Fatalf("packet %d: reused storage holds %x, want the new echo %x", i, got, next[i])
 		}
 	}
-	pool.Put(scribble)
+	if got := snap[0][sigHeaderSize:]; !bytes.Equal(got, []byte("round-one")) {
+		t.Fatalf("pinned copy changed under reuse: echo data %q, want %q", got, "round-one")
+	}
+	if got := snap[1][sigHeaderSize:]; !bytes.Equal(got, bytes.Repeat([]byte{0x11}, 40)) {
+		t.Fatalf("pinned copy changed under reuse: echo data %x", got)
+	}
 }
 
 // TestReleasedBufferMutationDoesNotReachRetainedFrames is the direct
-// "mutate a released buffer" regression: release a pooled buffer, have
-// the next borrower scribble it, and assert a frame retained (copied)
-// before the release is untouched.
+// "mutate a released buffer" regression on the decoded path: a command
+// from DrainCommands aliases its drained payload, a copy of its data is
+// retained, and the client's own reuse of that payload's storage must
+// leave the copy untouched.
 func TestReleasedBufferMutationDoesNotReachRetainedFrames(t *testing.T) {
-	wire := l2cap.SignalPacket(7, &l2cap.EchoReq{Data: []byte("retained")}, nil).Marshal()
-
-	borrowed := pool.Copy(wire)
+	cl, _, target := recordRig(t, 0)
+	if err := cl.Connect(target); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("retained")
+	if _, err := cl.SendCommand(target, &l2cap.EchoReq{Data: want}, nil); err != nil {
+		t.Fatal(err)
+	}
+	cmds := cl.DrainCommands()
+	if len(cmds) != 1 {
+		t.Fatalf("decoded %d commands, want 1", len(cmds))
+	}
+	rsp, ok := cmds[0].(*l2cap.EchoRsp)
+	if !ok {
+		t.Fatalf("decoded %T, want *l2cap.EchoRsp", cmds[0])
+	}
+	borrowed := rsp.Data
 	retained := append([]byte(nil), borrowed...) // the "must copy" rule
-	pool.Put(borrowed)
 
-	next := pool.Get(len(wire)) // recycles the released buffer
-	for i := range next {
-		next[i] = 0xFF
+	cl.Drain() // releases the batch
+	scribble := bytes.Repeat([]byte{0xFF}, len(want))
+	if _, err := cl.SendCommand(target, &l2cap.EchoReq{Data: scribble}, nil); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(retained, wire) {
-		t.Fatalf("retained copy changed after its source buffer was released and reused")
+	cl.Drain() // the next batch now sits in the released storage
+	if !bytes.Equal(borrowed, scribble) {
+		t.Fatalf("released payload reads %x, want the next batch's %x: storage was not reused", borrowed, scribble)
 	}
-	pool.Put(next)
+	if !bytes.Equal(retained, want) {
+		t.Fatalf("retained copy changed to %q after its source was reused", retained)
+	}
+}
+
+// TestDrainedPayloadAppendStaysInside pins the clamped capacity of an
+// inbox payload: appending to one payload of a batch reallocates instead
+// of overwriting the payload stored after it.
+func TestDrainedPayloadAppendStaysInside(t *testing.T) {
+	cl, _, target := recordRig(t, 0)
+	if err := cl.Connect(target); err != nil {
+		t.Fatal(err)
+	}
+	batch := echoRound(t, cl, target, []byte("first"), []byte("second"))
+	next := append([]byte(nil), batch[1].Payload...)
+	if cap(batch[0].Payload) != len(batch[0].Payload) {
+		t.Fatalf("payload capacity %d exceeds its length %d", cap(batch[0].Payload), len(batch[0].Payload))
+	}
+	grown := append(batch[0].Payload, bytes.Repeat([]byte{0xCC}, 64)...)
+	if samePayloadStorage(grown, batch[0].Payload) {
+		t.Fatal("append grew the payload in place")
+	}
+	if !bytes.Equal(batch[1].Payload, next) {
+		t.Fatalf("appending to payload 0 changed payload 1: %x, want %x", batch[1].Payload, next)
+	}
+}
+
+// TestSendDrainSteadyStateAllocs pins the client's share of the
+// packet path: once the inbox arenas and scratch buffers have grown to
+// the traffic's size, a Send → Drain round allocates nothing.
+func TestSendDrainSteadyStateAllocs(t *testing.T) {
+	cl, _, target := recordRig(t, 0)
+	cl.SetRecorder(nil) // the recorder copies every frame by design
+	if err := cl.Connect(target); err != nil {
+		t.Fatal(err)
+	}
+	pkt := l2cap.SignalPacket(1, &l2cap.EchoReq{Data: bytes.Repeat([]byte{0x42}, 32)}, nil)
+	round := func() {
+		if err := cl.Send(target, pkt); err != nil {
+			t.Fatal(err)
+		}
+		if len(cl.Drain()) != 1 {
+			t.Fatal("no echo response drained")
+		}
+	}
+	for range 4 {
+		round() // warm-up: both arenas and the packet slices grow once
+	}
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("steady-state Send → Drain allocates %.2f times per round, want 0", allocs)
+	}
 }

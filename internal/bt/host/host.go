@@ -18,7 +18,6 @@ import (
 
 	"l2fuzz/internal/bt/hci"
 	"l2fuzz/internal/bt/l2cap"
-	"l2fuzz/internal/bt/pool"
 	"l2fuzz/internal/bt/radio"
 	"l2fuzz/internal/bt/sdp"
 )
@@ -46,13 +45,13 @@ type Client struct {
 	nextCID  l2cap.CID
 	recorder *TraceRecorder
 
-	// inbox accumulates delivered packets (payloads are pool borrows);
-	// drained holds the batch handed out by the last Drain, whose
-	// payloads are released back to the pool at the next Drain. The two
-	// slices double-buffer so a caller can iterate a drained batch while
-	// new responses land.
-	inbox   []l2cap.Packet
-	drained []l2cap.Packet
+	// inbox accumulates delivered packets, whose payloads are copied
+	// into inboxBytes; drained and drainedBytes hold the batch handed
+	// out by the last Drain. The pairs double-buffer and swap together,
+	// so a caller can iterate a drained batch while new responses land,
+	// and the next Drain reuses its storage for the following batch.
+	inbox, drained           []l2cap.Packet
+	inboxBytes, drainedBytes []byte
 
 	// Reused scratch state for the steady-state send/decode path.
 	txWire    []byte          // wire bytes of the frame being sent
@@ -97,13 +96,16 @@ func NewClient(m *radio.Medium, addr radio.BDAddr, name string) (*Client, error)
 	}
 	ctrl.SetReceiver(func(_ hci.ConnHandle, _ radio.BDAddr, frame []byte) {
 		// The frame is a borrow from the controller; the inbox retains
-		// the payload past this callback, so copy it into a pooled
-		// buffer (released by the Drain after next).
+		// the payload past this callback, so copy it into the inbox
+		// arena (reused by the Drain after next). The capacity is
+		// clamped so appending to one payload cannot reach the next.
 		pkt, err := l2cap.ParsePacket(frame)
 		if err != nil {
 			return
 		}
-		pkt.Payload = pool.Copy(pkt.Payload)
+		start := len(c.inboxBytes)
+		c.inboxBytes = append(c.inboxBytes, pkt.Payload...)
+		pkt.Payload = c.inboxBytes[start:len(c.inboxBytes):len(c.inboxBytes)]
 		c.inbox = append(c.inbox, pkt)
 	})
 	c.ctrl = ctrl
@@ -201,17 +203,13 @@ func (c *Client) SendCommand(peer radio.BDAddr, cmd l2cap.Command, tail []byte) 
 }
 
 // Drain returns and clears the inbox. The returned packets (and their
-// payloads) are a borrow, valid only until the next Drain: their pooled
-// payload buffers are recycled then. Callers that retain a payload — the
+// payloads) are a borrow, valid only until the next Drain: their storage
+// receives the batch after that. Callers that retain a payload — the
 // corpus, cross-round state — must copy it.
 func (c *Client) Drain() []l2cap.Packet {
-	for i := range c.drained {
-		pool.Put(c.drained[i].Payload)
-	}
-	out := c.inbox
-	c.inbox = c.drained[:0]
-	c.drained = out
-	return out
+	c.inbox, c.drained = c.drained[:0], c.inbox
+	c.inboxBytes, c.drainedBytes = c.drainedBytes[:0], c.inboxBytes
+	return c.drained
 }
 
 // DrainCommands decodes the signaling commands out of the drained inbox,

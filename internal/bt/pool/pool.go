@@ -1,9 +1,13 @@
-// Package pool provides size-classed byte-buffer pooling for the packet
-// hot path. Every per-packet []byte that must outlive its producer — the
-// host client's inbox payloads are the canonical case — is borrowed from
-// here and released back once its ownership window closes, so a steady-
-// state fuzzing run recycles a small working set instead of allocating
-// per packet.
+// Package pool provides size-classed byte-buffer pooling: buffers are
+// borrowed with Get and released back with Put once their ownership
+// window closes, so a steady stream of short-lived buffers recycles a
+// small working set instead of allocating.
+//
+// No farm code calls it any more. Its one packet-path caller, the host
+// client's inbox, now copies payloads into two per-client arenas that
+// swap on every Drain, so concurrent rigs share no lock per packet.
+// farmbench's pool.getput and pool.getput_contended rows still time this
+// package; once the benchmark drops them, the package can go.
 //
 // # Ownership rules
 //

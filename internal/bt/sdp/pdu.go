@@ -76,6 +76,13 @@ func (p PDU) Marshal() []byte {
 
 // UnmarshalPDU decodes one PDU, copying the parameters.
 func UnmarshalPDU(raw []byte) (PDU, error) {
+	p, err := parsePDU(raw)
+	p.Params = append([]byte(nil), p.Params...)
+	return p, err
+}
+
+// parsePDU decodes one PDU whose parameters alias raw.
+func parsePDU(raw []byte) (PDU, error) {
 	if len(raw) < pduHeaderSize {
 		return PDU{}, fmt.Errorf("%w: got %d bytes", ErrShortPDU, len(raw))
 	}
@@ -87,7 +94,7 @@ func UnmarshalPDU(raw []byte) (PDU, error) {
 	return PDU{
 		ID:     PDUID(raw[0]),
 		TxnID:  binary.BigEndian.Uint16(raw[1:3]),
-		Params: append([]byte(nil), raw[pduHeaderSize:]...),
+		Params: raw[pduHeaderSize:],
 	}, nil
 }
 
@@ -200,6 +207,10 @@ type Server struct {
 	services []ServiceInfo
 	defect   *ServerDefect
 	crashed  bool
+	// attrRsp is the encoded attribute response, built on the first
+	// valid request: the services never change, so later answers only
+	// patch its transaction ID.
+	attrRsp []byte
 }
 
 // NewServer builds a server over the given services. The slice is copied.
@@ -222,7 +233,8 @@ func (s *Server) Crashed() bool { return s.crashed }
 // Malformed or unsupported requests get an error response, as a real SDP
 // server would produce. A request that trips the injected defect kills
 // the server mid-parse: it returns nil — no response at all — and every
-// later request is swallowed the same way.
+// later request is swallowed the same way. The response is a borrow of
+// server-owned bytes, valid until the next Handle.
 func (s *Server) Handle(raw []byte) []byte {
 	if s.crashed {
 		return nil
@@ -231,12 +243,16 @@ func (s *Server) Handle(raw []byte) []byte {
 		s.crashed = true
 		return nil
 	}
-	pdu, err := UnmarshalPDU(raw)
+	pdu, err := parsePDU(raw)
 	if err != nil {
 		return PDU{ID: PDUErrorRsp, TxnID: 0, Params: []byte{0x00, 0x03}}.Marshal()
 	}
 	if pdu.ID != PDUServiceSearchAttributeReq {
 		return PDU{ID: PDUErrorRsp, TxnID: pdu.TxnID, Params: []byte{0x00, 0x03}}.Marshal()
 	}
-	return BuildAttributeResponse(pdu.TxnID, s.services).Marshal()
+	if s.attrRsp == nil {
+		s.attrRsp = BuildAttributeResponse(0, s.services).Marshal()
+	}
+	binary.BigEndian.PutUint16(s.attrRsp[1:3], pdu.TxnID)
+	return s.attrRsp
 }

@@ -133,6 +133,14 @@ type Fuzzer struct {
 	lastPSM   l2cap.PSM
 	sent      int
 	sincePing int
+	// The latest command's description, kept as plain values and
+	// formatted only when a finding reports it (Report.LastCommand):
+	// the shadow state it was sent in and, for a model-following
+	// command, the event it raises, otherwise its code.
+	lastState sm.State
+	lastValid bool
+	lastEvent sm.Event
+	lastCode  l2cap.CommandCode
 }
 
 // New builds a fuzzer over a tester client.
@@ -173,9 +181,11 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 	}
 
 	report := &Report{}
-	finish := func(found bool, lastCommand string) (*Report, error) {
+	finish := func(found bool) (*Report, error) {
 		report.Found = found
-		report.LastCommand = lastCommand
+		if found {
+			report.LastCommand = f.lastCommand()
+		}
 		report.PacketsSent = f.sent
 		report.Elapsed = f.cl.Clock().Now() - start
 		report.FinalState = f.model.State()
@@ -190,11 +200,11 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 	}
 
 	for f.sent < f.cfg.MaxPackets {
-		cmd, tail, ev, desc := f.step()
+		cmd, tail, ev := f.step()
 		if _, err := f.cl.SendCommand(f.target, cmd, tail); err != nil {
 			// The link died under us: the walk's last command killed the
 			// target and its crash dropped every ACL link.
-			return finish(true, desc)
+			return finish(true)
 		}
 		f.cl.Clock().Advance(f.cfg.ThinkTime)
 		f.sent++
@@ -211,12 +221,12 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 		if f.sincePing >= f.cfg.PingEvery {
 			f.sincePing = 0
 			if err := f.cl.Ping(f.target); err != nil {
-				return finish(true, desc)
+				return finish(true)
 			}
 			f.sent++ // the echo probe is a transmitted packet
 		}
 	}
-	return finish(false, "")
+	return finish(false)
 }
 
 // step picks the next command of the walk. Three draws in four follow
@@ -224,7 +234,8 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 // a command the specification says to reject here, probing the target's
 // invalid-transition handling. The returned event is zero when the
 // command raises none (or an invalid one): the shadow must not move.
-func (f *Fuzzer) step() (l2cap.Command, []byte, sm.Event, string) {
+func (f *Fuzzer) step() (l2cap.Command, []byte, sm.Event) {
+	f.lastState = f.model.State()
 	var candidates []sm.Event
 	for _, ev := range sm.ValidEvents(f.model.State()) {
 		if _, ok := recvCommand[ev]; ok {
@@ -234,7 +245,8 @@ func (f *Fuzzer) step() (l2cap.Command, []byte, sm.Event, string) {
 	if len(candidates) > 0 && f.rng.Intn(4) != 0 {
 		ev := candidates[f.rng.Intn(len(candidates))]
 		cmd, tail := f.build(recvCommand[ev])
-		return cmd, tail, ev, fmt.Sprintf("%v in %v (valid)", ev, f.model.State())
+		f.lastValid, f.lastEvent = true, ev
+		return cmd, tail, ev
 	}
 	// Defection: any signaling command, valid here or not. The shadow
 	// only moves if the specification accepts the event — a rejected
@@ -242,13 +254,22 @@ func (f *Fuzzer) step() (l2cap.Command, []byte, sm.Event, string) {
 	codes := l2cap.AllCommandCodes()
 	code := codes[f.rng.Intn(len(codes))]
 	cmd, tail := f.build(code)
+	f.lastValid, f.lastCode = false, code
 	ev, ok := sm.RecvEvent(code, false)
 	if !ok {
 		ev = 0
 	} else if _, valid := sm.Lookup(f.model.State(), ev); !valid {
 		ev = 0
 	}
-	return cmd, tail, ev, fmt.Sprintf("%v in %v (injected)", code, f.model.State())
+	return cmd, tail, ev
+}
+
+// lastCommand formats the latest command's description.
+func (f *Fuzzer) lastCommand() string {
+	if f.lastValid {
+		return fmt.Sprintf("%v in %v (valid)", f.lastEvent, f.lastState)
+	}
+	return fmt.Sprintf("%v in %v (injected)", f.lastCode, f.lastState)
 }
 
 // build constructs the command for code: specification defaults for the

@@ -135,3 +135,29 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 			a.PacketsSent, a.LastCommand)
 	}
 }
+
+// TestLastCommandPinned pins the finding's command description, which
+// the run formats only at detection, to the text recorded when every
+// step formatted its own. The seeds cover a killing command that
+// follows the model and one that was injected.
+func TestLastCommandPinned(t *testing.T) {
+	want := map[int64]struct {
+		sent int
+		last string
+	}{
+		1: {19, "RecvDisconnectReq in WAIT_SEND_CONFIG (valid)"},
+		4: {25, "ConnParamUpdateRsp in WAIT_SEND_CONFIG (injected)"},
+		6: {35, "RecvConfigReq in WAIT_CONFIG (valid)"},
+	}
+	for seed, w := range want {
+		d, cl := rig(t, targetConfig(device.BlueDroidCCBNullDeref(0x40, 1, true)))
+		report, err := New(cl, DefaultConfig(seed)).Run(d.Address())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !report.Found || report.PacketsSent != w.sent || report.LastCommand != w.last {
+			t.Errorf("seed %d: found %v after %d packets, last %q; want found after %d, last %q",
+				seed, report.Found, report.PacketsSent, report.LastCommand, w.sent, w.last)
+		}
+	}
+}
