@@ -15,6 +15,7 @@ import (
 
 	"l2fuzz"
 	"l2fuzz/internal/harness"
+	"l2fuzz/internal/telemetry"
 )
 
 // TestMain re-execs this test binary as a farm worker subprocess when
@@ -293,8 +294,14 @@ func fleetBenchRun(workers int, telemetry, proc bool) (*l2fuzz.FleetReport, erro
 //
 //	BENCH_SNAPSHOT=BENCH_8.json go test -run TestBenchSnapshot .
 //
+// Each row is the median of benchSnapshotRuns runs with the min and max
+// packets/s beside it: single runs of an unchanged farm spread by about
+// ±20% on a 2-vCPU host, more than the deltas a trajectory reports.
+//
 // Skipped unless BENCH_SNAPSHOT names the output path, so regular test
 // runs stay fast and the committed file only changes deliberately.
+const benchSnapshotRuns = 5
+
 func TestBenchSnapshot(t *testing.T) {
 	path := os.Getenv("BENCH_SNAPSHOT")
 	if path == "" {
@@ -302,7 +309,7 @@ func TestBenchSnapshot(t *testing.T) {
 	}
 	rows := make([]l2fuzz.BenchRow, 0, len(fleetBenchCases))
 	for _, bc := range fleetBenchCases {
-		row := l2fuzz.MeasureBenchRow(func() (int64, int) {
+		row := telemetry.MeasureRuns(benchSnapshotRuns, func() (int64, int) {
 			report, err := fleetBenchRun(bc.workers, bc.telemetry, bc.proc)
 			if err != nil {
 				t.Fatal(err)

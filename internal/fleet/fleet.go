@@ -9,13 +9,14 @@ import (
 
 	"l2fuzz/internal/bt/device"
 	"l2fuzz/internal/corpus"
+	"l2fuzz/internal/record"
 	"l2fuzz/internal/telemetry"
 )
 
 // Kind selects the fuzzer a job runs. Each kind names a registered
 // Engine; the registry in engine.go is the single source of truth for
 // which kinds exist and how they execute.
-type Kind string
+type Kind = record.Kind
 
 // The job kinds a farm can schedule: the paper's four compared fuzzers,
 // the two §V extensions, and the scenario-diversity engines over the

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"l2fuzz/internal/bt/device"
+	"l2fuzz/internal/bt/host"
 	"l2fuzz/internal/core"
 	"l2fuzz/internal/metrics"
+	"l2fuzz/internal/record"
 	"l2fuzz/internal/telemetry"
 )
 
@@ -24,7 +26,12 @@ const journalVersion = 3
 
 // The farm's journal record types. A journal additionally carries
 // telemetry.RecordSample records when the writer runs a counter
-// sampler; replay ignores them.
+// sampler; replay ignores them. The record payloads are built from the
+// dependency-free types of internal/record (the farm header, job
+// coordinates, span, summary and worker change) plus the wrappers below
+// that add what names simulator types: the target spec and the
+// findings. The worker wire protocol carries the same jobRecord and
+// outcome, so a job result has one encoding.
 const (
 	recFarm       = "farm"
 	recJobStarted = "job-started"
@@ -33,110 +40,145 @@ const (
 	recWorker     = "worker"
 )
 
-// journalFarm is the run header: enough of the matrix shape to sanity-
-// check a replay config against the journal it is asked to fold.
-type journalFarm struct {
-	Version  int      `json:"version"`
-	Jobs     int      `json:"jobs"`
-	Workers  int      `json:"workers"`
-	BaseSeed int64    `json:"baseSeed"`
-	Targets  []string `json:"targets"`
-	Kinds    []Kind   `json:"kinds"`
-	Variants []string `json:"variants"`
-	Shards   int      `json:"shards"`
-	// SampleInterval is how often the run's counter sampler wrote
-	// RecordSample records, when the writer declared it
-	// (Config.SampleInterval); an analyzer labels the sampled series'
-	// time axis with it. Zero means unknown or no sampler.
-	SampleInterval time.Duration `json:"sampleIntervalNs,omitempty"`
+// jobRecord is a Job as the wire and the journal carry it: the job's
+// coordinates plus its resolved target spec inline. Specs are pure data
+// (declarative defect descriptors), so the journal embeds the full spec
+// and is self-describing — a reader needs no catalog to know exactly
+// what configuration each job fuzzed — and a worker subprocess needs no
+// target catalog of its own. Replay ignores the field and resolves
+// specs from the config's target list, which keeps the replayed
+// report's Spec pointers identical to a live farm's.
+type jobRecord struct {
+	record.Job
+	Spec *device.Spec `json:"spec,omitempty"`
 }
 
-// journalJob is a Job with its resolved target spec inline: specs are
-// pure data (declarative defect descriptors), so the journal embeds the
-// full spec and is self-describing — a reader needs no catalog to know
-// exactly what configuration each job fuzzed. Replay ignores the field
-// and resolves specs from the config's target list, which keeps the
-// replayed report's Spec pointers identical to a live farm's.
-type journalJob struct {
-	Index      int          `json:"index"`
-	Device     string       `json:"device"`
-	Spec       *device.Spec `json:"spec,omitempty"`
-	Kind       Kind         `json:"kind"`
-	Variant    string       `json:"variant"`
-	Shard      int          `json:"shard"`
-	Seed       int64        `json:"seed"`
-	MaxPackets int          `json:"maxPackets"`
+func jobRecordOf(j Job) jobRecord {
+	return jobRecord{
+		Job: record.Job{
+			Index:      j.Index,
+			Device:     j.Device,
+			Kind:       j.Kind,
+			Variant:    j.Variant,
+			Shard:      j.Shard,
+			Seed:       j.Seed,
+			MaxPackets: j.MaxPackets,
+		},
+		Spec: j.Spec,
+	}
+}
+
+func (r jobRecord) job() Job {
+	return Job{
+		Index:      r.Index,
+		Device:     r.Device,
+		Spec:       r.Spec,
+		Kind:       r.Kind,
+		Variant:    r.Variant,
+		Shard:      r.Shard,
+		Seed:       r.Seed,
+		MaxPackets: r.MaxPackets,
+	}
+}
+
+// occurrenceRecord is one finding occurrence. The repro trace travels
+// in its own fields: core.Finding excludes Trace from JSON (report
+// snapshots must not embed traces), but the coordinator's corpus store
+// needs the worker-recorded ops, so the wire carries them explicitly.
+// The journal never fills them — repro traces are store-owned.
+type occurrenceRecord struct {
+	Finding        core.Finding   `json:"finding"`
+	Trace          []host.TraceOp `json:"trace,omitempty"`
+	TraceTruncated bool           `json:"traceTruncated,omitempty"`
+	Count          int            `json:"count"`
+	Dump           string         `json:"dump,omitempty"`
+}
+
+// outcome is the part of a JobResult the executing side produces,
+// carried identically by the wire's wireResult and the journal's
+// job-done record.
+type outcome struct {
+	Err         string             `json:"err,omitempty"`
+	PacketsSent int                `json:"packetsSent"`
+	ElapsedNs   time.Duration      `json:"elapsedNs"`
+	Crashed     bool               `json:"crashed,omitempty"`
+	Findings    []occurrenceRecord `json:"findings,omitempty"`
+	Summary     metrics.Summary    `json:"summary"`
+}
+
+// outcomeOf encodes a result's outcome; traces selects whether the
+// findings' repro traces ride along (the wire) or not (the journal).
+func outcomeOf(res JobResult, traces bool) outcome {
+	o := outcome{
+		PacketsSent: res.PacketsSent,
+		ElapsedNs:   res.Elapsed,
+		Crashed:     res.Crashed,
+		Summary:     res.Summary,
+	}
+	if res.Err != nil {
+		o.Err = res.Err.Error()
+	}
+	for _, occ := range res.Findings {
+		rec := occurrenceRecord{Finding: occ.Finding, Count: occ.Count, Dump: occ.Dump}
+		if traces {
+			rec.Trace, rec.TraceTruncated = occ.Finding.Trace, occ.Finding.TraceTruncated
+		}
+		o.Findings = append(o.Findings, rec)
+	}
+	return o
+}
+
+// result decodes the outcome back into job's JobResult, folding any
+// carried repro traces back into the findings so corpus persistence
+// works unchanged.
+func (o outcome) result(job Job) JobResult {
+	res := JobResult{
+		Job:         job,
+		PacketsSent: o.PacketsSent,
+		Elapsed:     o.ElapsedNs,
+		Crashed:     o.Crashed,
+		Summary:     o.Summary,
+	}
+	if o.Err != "" {
+		res.Err = errors.New(o.Err)
+	}
+	for _, occ := range o.Findings {
+		f := occ.Finding
+		f.Trace, f.TraceTruncated = occ.Trace, occ.TraceTruncated
+		res.Findings = append(res.Findings, Occurrence{Finding: f, Count: occ.Count, Dump: occ.Dump})
+	}
+	return res
 }
 
 type journalStarted struct {
-	Job   journalJob `json:"job"`
-	Done  int        `json:"done"`
-	Total int        `json:"total"`
-}
-
-type journalOccurrence struct {
-	Finding core.Finding `json:"finding"`
-	Count   int          `json:"count"`
-	Dump    string       `json:"dump,omitempty"`
+	Job   jobRecord `json:"job"`
+	Done  int       `json:"done"`
+	Total int       `json:"total"`
 }
 
 type journalResult struct {
-	Job         journalJob          `json:"job"`
-	Worker      string              `json:"worker,omitempty"`
-	Err         string              `json:"err,omitempty"`
-	PacketsSent int                 `json:"packetsSent"`
-	ElapsedNs   time.Duration       `json:"elapsedNs"`
-	WallNs      time.Duration       `json:"wallNs"`
-	Span        Span                `json:"span"`
-	Crashed     bool                `json:"crashed,omitempty"`
-	Findings    []journalOccurrence `json:"findings,omitempty"`
-	Summary     metrics.Summary     `json:"summary"`
-	Done        int                 `json:"done"`
-	Total       int                 `json:"total"`
-}
-
-type journalFinding struct {
-	Record FindingRecord `json:"record"`
-	Job    journalJob    `json:"job"`
+	Job    jobRecord `json:"job"`
+	Worker string    `json:"worker,omitempty"`
+	outcome
+	WallNs time.Duration `json:"wallNs"`
+	Span   Span          `json:"span"`
 	Done   int           `json:"done"`
 	Total  int           `json:"total"`
 }
 
-// journalWorker is one executor worker lifecycle change. Replay
-// ignores these records — they exist for post-hoc farm forensics (which
-// worker died when, under which job counts).
+type journalFinding struct {
+	Record FindingRecord `json:"record"`
+	Job    jobRecord     `json:"job"`
+	Done   int           `json:"done"`
+	Total  int           `json:"total"`
+}
+
+// journalWorker is one worker lifecycle change with the farm's job
+// counts at that moment.
 type journalWorker struct {
-	Worker string `json:"worker"`
-	Up     bool   `json:"up"`
-	Err    string `json:"err,omitempty"`
-	Done   int    `json:"done"`
-	Total  int    `json:"total"`
-}
-
-func toJournalJob(j Job) journalJob {
-	return journalJob{
-		Index:      j.Index,
-		Device:     j.Device,
-		Spec:       j.Spec,
-		Kind:       j.Kind,
-		Variant:    j.Variant,
-		Shard:      j.Shard,
-		Seed:       j.Seed,
-		MaxPackets: j.MaxPackets,
-	}
-}
-
-func fromJournalJob(j journalJob, specs map[string]*device.Spec) Job {
-	return Job{
-		Index:      j.Index,
-		Device:     j.Device,
-		Spec:       specs[j.Device],
-		Kind:       j.Kind,
-		Variant:    j.Variant,
-		Shard:      j.Shard,
-		Seed:       j.Seed,
-		MaxPackets: j.MaxPackets,
-	}
+	record.Worker
+	Done  int `json:"done"`
+	Total int `json:"total"`
 }
 
 // journalHeader writes the run header at Start.
@@ -144,7 +186,7 @@ func (f *Farm) journalHeader(jobs []Job) {
 	if f.cfg.Journal == nil {
 		return
 	}
-	hdr := journalFarm{
+	hdr := record.Farm{
 		Version:        journalVersion,
 		Jobs:           len(jobs),
 		Workers:        f.cfg.Workers,
@@ -169,7 +211,7 @@ func (f *Farm) journalStarted(job Job) {
 	if f.cfg.Journal == nil {
 		return
 	}
-	f.cfg.Journal.Write(recJobStarted, journalStarted{Job: toJournalJob(job), Done: f.done, Total: f.total})
+	f.cfg.Journal.Write(recJobStarted, journalStarted{Job: jobRecordOf(job), Done: f.done, Total: f.total})
 }
 
 func (f *Farm) journalResult(res JobResult) {
@@ -177,22 +219,13 @@ func (f *Farm) journalResult(res JobResult) {
 		return
 	}
 	jr := journalResult{
-		Job:         toJournalJob(res.Job),
-		Worker:      res.Worker,
-		PacketsSent: res.PacketsSent,
-		ElapsedNs:   res.Elapsed,
-		WallNs:      res.Wall,
-		Span:        res.Span,
-		Crashed:     res.Crashed,
-		Summary:     res.Summary,
-		Done:        f.done,
-		Total:       f.total,
-	}
-	if res.Err != nil {
-		jr.Err = res.Err.Error()
-	}
-	for _, occ := range res.Findings {
-		jr.Findings = append(jr.Findings, journalOccurrence{Finding: occ.Finding, Count: occ.Count, Dump: occ.Dump})
+		Job:     jobRecordOf(res.Job),
+		Worker:  res.Worker,
+		outcome: outcomeOf(res, false),
+		WallNs:  res.Wall,
+		Span:    res.Span,
+		Done:    f.done,
+		Total:   f.total,
 	}
 	f.cfg.Journal.Write(recJobDone, jr)
 }
@@ -201,14 +234,14 @@ func (f *Farm) journalFinding(rec FindingRecord, job Job) {
 	if f.cfg.Journal == nil {
 		return
 	}
-	f.cfg.Journal.Write(recFinding, journalFinding{Record: rec, Job: toJournalJob(job), Done: f.done, Total: f.total})
+	f.cfg.Journal.Write(recFinding, journalFinding{Record: rec, Job: jobRecordOf(job), Done: f.done, Total: f.total})
 }
 
 func (f *Farm) journalWorker(ev WorkerEvent) {
 	if f.cfg.Journal == nil {
 		return
 	}
-	f.cfg.Journal.Write(recWorker, journalWorker{Worker: ev.Worker, Up: ev.Up, Err: ev.Err, Done: f.done, Total: f.total})
+	f.cfg.Journal.Write(recWorker, journalWorker{Worker: record.Worker{Worker: ev.Worker, Up: ev.Up, Err: ev.Err}, Done: f.done, Total: f.total})
 }
 
 // ReplayJournal folds a persisted run journal back into a Report, using
@@ -247,7 +280,7 @@ func ReplayJournal(cfg Config, r io.Reader) (*Report, error) {
 	err = telemetry.DecodeJournal(r, func(rec telemetry.Record) error {
 		switch rec.Type {
 		case recFarm:
-			var hdr journalFarm
+			var hdr record.Farm
 			if err := json.Unmarshal(rec.Data, &hdr); err != nil {
 				return fmt.Errorf("fleet: farm record: %w", err)
 			}
@@ -266,22 +299,9 @@ func ReplayJournal(cfg Config, r io.Reader) (*Report, error) {
 			if err := json.Unmarshal(rec.Data, &jr); err != nil {
 				return fmt.Errorf("fleet: job-done record: %w", err)
 			}
-			res := JobResult{
-				Job:         fromJournalJob(jr.Job, specs),
-				Worker:      jr.Worker,
-				PacketsSent: jr.PacketsSent,
-				Elapsed:     jr.ElapsedNs,
-				Wall:        jr.WallNs,
-				Span:        jr.Span,
-				Crashed:     jr.Crashed,
-				Summary:     jr.Summary,
-			}
-			if jr.Err != "" {
-				res.Err = errors.New(jr.Err)
-			}
-			for _, occ := range jr.Findings {
-				res.Findings = append(res.Findings, Occurrence{Finding: occ.Finding, Count: occ.Count, Dump: occ.Dump})
-			}
+			res := jr.result(jr.Job.job())
+			res.Job.Spec = specs[res.Job.Device]
+			res.Worker, res.Wall, res.Span = jr.Worker, jr.WallNs, jr.Span
 			agg.Add(res)
 		}
 		// job-started, finding, worker and sample records carry no

@@ -70,6 +70,10 @@ type procWorker struct {
 	dec   *wire.Decoder
 	pid   int
 	dead  bool
+	// res is the decode target for this worker's results, reused
+	// because a worker runs one job at a time: a fresh one per job
+	// would be a heap allocation per job on the coordinator.
+	res wireResult
 }
 
 // NewProcExecutor returns an executor spawning workers per pc. Set it
@@ -223,7 +227,7 @@ func (e *ProcExecutor) acquire(ctx context.Context) (*procWorker, error) {
 // runOn runs one job on one worker. Any error is a transport failure:
 // the worker's pipes are no longer trustworthy.
 func (e *ProcExecutor) runOn(w *procWorker, job Job) (JobResult, error) {
-	wj := toWireJob(job)
+	wj := wireJob{jobRecord: jobRecordOf(job)}
 	// The span's Started phase begins as the job hits the wire: the
 	// worker echoes the offset back (a desync check) and adds its own
 	// measured execution time, so the coordinator can split this job's
@@ -239,8 +243,9 @@ func (e *ProcExecutor) runOn(w *procWorker, job Job) (JobResult, error) {
 		proc := w.cmd.Process
 		timer = time.AfterFunc(d, func() { proc.Kill() })
 	}
-	var wr wireResult
-	err := w.dec.Decode(&wr)
+	wr := &w.res
+	*wr = wireResult{}
+	err := w.dec.Decode(wr)
 	if timer != nil {
 		timer.Stop()
 	}
@@ -258,7 +263,16 @@ func (e *ProcExecutor) runOn(w *procWorker, job Job) (JobResult, error) {
 		// counters — the subprocess form of runJob's local-merge.
 		e.cfg.Counters.Merge(*wr.Counters)
 	}
-	return fromWireResult(wr, job, w.id), nil
+	// job is the coordinator's own Job, so its Spec pointer stays
+	// pointer-identical to the farm's target list, exactly as local
+	// execution leaves it. The span's executor-side phases come back
+	// over the wire: Started from the coordinator's own send stamp
+	// (echoed), Exec measured by the worker. The dispatcher fills the
+	// farm-side phases.
+	res := wr.result(job)
+	res.Worker = w.id
+	res.Span.StartedNs, res.Span.ExecNs = wr.StartedNs, wr.ExecNs
+	return res, nil
 }
 
 // markDead transitions one worker to dead; reports false if it already

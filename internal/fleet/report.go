@@ -8,6 +8,7 @@ import (
 
 	"l2fuzz/internal/core"
 	"l2fuzz/internal/metrics"
+	"l2fuzz/internal/record"
 )
 
 // Occurrence is one finding a job produced, with its per-job repeat
@@ -61,6 +62,10 @@ type JobResult struct {
 // the key the persistent corpus stores repro traces under. One type for
 // all three layers means corpus keys cannot drift from report keys.
 type Signature = core.Signature
+
+// Span is one job's trace through the farm's execution phases; see
+// record.Span for the phases and their arithmetic.
+type Span = record.Span
 
 // FindingRecord is one de-duplicated finding with its farm-wide
 // provenance. Finding.Trace carries the recorded repro trace of the

@@ -41,7 +41,7 @@ func TestWireSchemaGolden(t *testing.T) {
 	}
 	findings := 0
 	for _, job := range buildJobs(cfg) {
-		wj := toWireJob(job)
+		wj := wireJob{jobRecord: jobRecordOf(job)}
 		flatten("job", wj)
 		wr := workerRun(fc, wj)
 		if wr.Err != "" {
@@ -54,7 +54,7 @@ func TestWireSchemaGolden(t *testing.T) {
 		t.Fatal("matrix produced no findings; the occurrence schema would be unpinned")
 	}
 	// An errored result, for the err field omitempty hides on success.
-	bogus := toWireJob(buildJobs(cfg)[0])
+	bogus := wireJob{jobRecord: jobRecordOf(buildJobs(cfg)[0])}
 	bogus.Kind = Kind("no-such-kind")
 	if wr := workerRun(fc, bogus); wr.Err == "" {
 		t.Fatal("bogus kind produced no error; the err schema would be unpinned")

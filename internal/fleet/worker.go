@@ -7,11 +7,7 @@ import (
 	"os"
 	"time"
 
-	"l2fuzz/internal/bt/device"
-	"l2fuzz/internal/bt/host"
-	"l2fuzz/internal/core"
 	"l2fuzz/internal/fleet/wire"
-	"l2fuzz/internal/metrics"
 	"l2fuzz/internal/telemetry"
 )
 
@@ -19,8 +15,11 @@ import (
 // (internal/fleet/wire). A session is: worker sends wireHello,
 // coordinator answers with one wireFarm, then any number of wireJob →
 // wireResult exchanges until the coordinator closes the worker's stdin
-// (clean shutdown). The message structs below are the schema; a golden
-// test pins their field paths so drift is deliberate.
+// (clean shutdown). The message structs below are the schema, together
+// with the jobRecord and outcome they share with the run journal
+// (journal.go): a job and its result cross the wire in the encoding the
+// journal writes. A golden test pins their field paths so drift is
+// deliberate.
 //
 // wireVersion pins the protocol. Both sides refuse a peer speaking a
 // different version rather than mis-reading its frames. Version 2
@@ -51,21 +50,14 @@ type wireFarm struct {
 	Counters bool `json:"counters,omitempty"`
 }
 
-// wireJob is one job assignment. The resolved target spec travels
-// inline — specs are pure data since defects became declarative — so a
-// worker needs no target catalog of its own and custom targets work
-// unchanged. Variants cross by name only: behaviour hooks cannot cross
-// a process boundary, so the worker resolves predefined names via
+// wireJob is one job assignment: the job record the journal also
+// writes (its resolved target spec inline, so a worker needs no target
+// catalog of its own and custom targets work unchanged) plus the span
+// context. Variants cross by name only: behaviour hooks cannot cross a
+// process boundary, so the worker resolves predefined names via
 // VariantByName and treats unknown names as hook-less.
 type wireJob struct {
-	Index      int          `json:"index"`
-	Device     string       `json:"device"`
-	Spec       *device.Spec `json:"spec"`
-	Kind       Kind         `json:"kind"`
-	Variant    string       `json:"variant"`
-	Shard      int          `json:"shard"`
-	Seed       int64        `json:"seed"`
-	MaxPackets int          `json:"maxPackets"`
+	jobRecord
 	// StartedNs is the job's span context: the offset on the farm's
 	// monotonic clock at which the coordinator put the job on the wire.
 	// The worker has no shared clock, so it cannot extend the span — it
@@ -74,80 +66,20 @@ type wireJob struct {
 	StartedNs time.Duration `json:"startedNs"`
 }
 
-// wireOccurrence is one finding occurrence. The repro trace travels in
-// its own field: core.Finding excludes Trace from JSON (report
-// snapshots must not embed traces), but the coordinator's corpus store
-// needs the worker-recorded ops, so the wire carries them explicitly.
-type wireOccurrence struct {
-	Finding        core.Finding   `json:"finding"`
-	Trace          []host.TraceOp `json:"trace,omitempty"`
-	TraceTruncated bool           `json:"traceTruncated,omitempty"`
-	Count          int            `json:"count"`
-	Dump           string         `json:"dump,omitempty"`
-}
-
-// wireResult is one job's outcome, echoing the job index so the
-// coordinator can detect a desynchronized worker.
+// wireResult is one job's outcome — the same outcome record a journal
+// job-done record carries, here with the findings' repro traces —
+// echoing the job index so the coordinator can detect a desynchronized
+// worker.
 type wireResult struct {
-	Index       int           `json:"index"`
-	Err         string        `json:"err,omitempty"`
-	PacketsSent int           `json:"packetsSent"`
-	ElapsedNs   time.Duration `json:"elapsedNs"`
+	Index int `json:"index"`
+	outcome
 	// StartedNs echoes the job's span context (see wireJob). ExecNs is
 	// the execution wall time the worker measured around its own job
 	// run — the coordinator subtracts it from the span's wire window to
 	// isolate the transport cost.
 	StartedNs time.Duration              `json:"startedNs"`
 	ExecNs    time.Duration              `json:"execNs"`
-	Crashed   bool                       `json:"crashed,omitempty"`
-	Findings  []wireOccurrence           `json:"findings,omitempty"`
-	Summary   metrics.Summary            `json:"summary"`
 	Counters  *telemetry.CounterSnapshot `json:"counters,omitempty"`
-}
-
-// toWireJob strips a job to its wire form.
-func toWireJob(j Job) wireJob {
-	return wireJob{
-		Index:      j.Index,
-		Device:     j.Device,
-		Spec:       j.Spec,
-		Kind:       j.Kind,
-		Variant:    j.Variant,
-		Shard:      j.Shard,
-		Seed:       j.Seed,
-		MaxPackets: j.MaxPackets,
-	}
-}
-
-// fromWireResult rebuilds a JobResult on the coordinator side. job is
-// the coordinator's own Job (its Spec pointer stays pointer-identical
-// to the farm's target list, exactly as local execution leaves it), and
-// the worker-recorded traces are folded back into the findings so
-// corpus persistence works unchanged.
-func fromWireResult(wr wireResult, job Job, workerID string) JobResult {
-	res := JobResult{
-		Job:         job,
-		Worker:      workerID,
-		PacketsSent: wr.PacketsSent,
-		Elapsed:     wr.ElapsedNs,
-		Crashed:     wr.Crashed,
-		Summary:     wr.Summary,
-	}
-	// The span's executor-side phases come back over the wire: Started
-	// from the coordinator's own send stamp (echoed), Exec measured by
-	// the worker. The dispatcher fills the farm-side phases.
-	res.Span.StartedNs = wr.StartedNs
-	res.Span.ExecNs = wr.ExecNs
-	if wr.Err != "" {
-		res.Err = errors.New(wr.Err)
-	}
-	for _, occ := range wr.Findings {
-		f := occ.Finding
-		f.Trace = occ.Trace
-		f.TraceTruncated = occ.TraceTruncated
-		res.Findings = append(res.Findings, Occurrence{Finding: f, Count: occ.Count, Dump: occ.Dump})
-	}
-	return res
 }
 
 // RunWorker runs the farm worker loop of a subprocess spawned by
@@ -205,38 +137,13 @@ func workerRun(fc wireFarm, wj wireJob) wireResult {
 		local = &telemetry.Counters{}
 		cfg.Counters = local
 	}
-	job := Job{
-		Index:      wj.Index,
-		Device:     wj.Device,
-		Spec:       wj.Spec,
-		Kind:       wj.Kind,
-		Variant:    wj.Variant,
-		Shard:      wj.Shard,
-		Seed:       wj.Seed,
-		MaxPackets: wj.MaxPackets,
-	}
 	execStart := time.Now()
-	res := runJob(cfg, job)
+	res := runJob(cfg, wj.job())
 	wr := wireResult{
-		Index:       wj.Index,
-		PacketsSent: res.PacketsSent,
-		ElapsedNs:   res.Elapsed,
-		StartedNs:   wj.StartedNs,
-		ExecNs:      time.Since(execStart),
-		Crashed:     res.Crashed,
-		Summary:     res.Summary,
-	}
-	if res.Err != nil {
-		wr.Err = res.Err.Error()
-	}
-	for _, occ := range res.Findings {
-		wr.Findings = append(wr.Findings, wireOccurrence{
-			Finding:        occ.Finding,
-			Trace:          occ.Finding.Trace,
-			TraceTruncated: occ.Finding.TraceTruncated,
-			Count:          occ.Count,
-			Dump:           occ.Dump,
-		})
+		Index:     wj.Index,
+		outcome:   outcomeOf(res, true),
+		StartedNs: wj.StartedNs,
+		ExecNs:    time.Since(execStart),
 	}
 	if local != nil {
 		s := local.Snapshot()

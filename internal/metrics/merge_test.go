@@ -50,6 +50,18 @@ func TestMergeCountersAndRatios(t *testing.T) {
 	if m.StatesCovered != 4 {
 		t.Errorf("StatesCovered = %d, want the exact union size 4", m.StatesCovered)
 	}
+
+	// Folding more than two parts recomputes the rate from the merged
+	// span as well: 60 packets over 4s is 15/s.
+	three := Summary{Transmitted: 10, Span: time.Second}.
+		Merge(Summary{Transmitted: 20, Span: time.Second}).
+		Merge(Summary{Transmitted: 30, Span: 2 * time.Second})
+	if three.Transmitted != 60 || three.Span != 4*time.Second {
+		t.Errorf("three-way fold = %+v, want Transmitted 60 over 4s", three)
+	}
+	if math.Abs(three.PacketsPerSecond-15) > 1e-12 {
+		t.Errorf("three-way PacketsPerSecond = %v, want 15", three.PacketsPerSecond)
+	}
 }
 
 // TestMergeUnionsOverlappingStateSetsExactly pins the exact-union
@@ -85,24 +97,6 @@ func TestMergeZeroIsIdentity(t *testing.T) {
 	got = Summary{}.Merge(a)
 	if !reflect.DeepEqual(got, a) {
 		t.Errorf("zero.Merge(a) = %+v, want %+v", got, a)
-	}
-}
-
-func TestMergeAll(t *testing.T) {
-	if got := MergeAll(nil); !reflect.DeepEqual(got, Summary{}) {
-		t.Errorf("MergeAll(nil) = %+v, want zero", got)
-	}
-	sums := []Summary{
-		{Transmitted: 10, Span: time.Second},
-		{Transmitted: 20, Span: time.Second},
-		{Transmitted: 30, Span: 2 * time.Second},
-	}
-	m := MergeAll(sums)
-	if m.Transmitted != 60 || m.Span != 4*time.Second {
-		t.Errorf("MergeAll = %+v, want Transmitted 60 over 4s", m)
-	}
-	if math.Abs(m.PacketsPerSecond-15) > 1e-12 {
-		t.Errorf("PacketsPerSecond = %v, want 15", m.PacketsPerSecond)
 	}
 }
 

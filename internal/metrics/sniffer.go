@@ -8,6 +8,7 @@ import (
 	"l2fuzz/internal/bt/hci"
 	"l2fuzz/internal/bt/l2cap"
 	"l2fuzz/internal/bt/radio"
+	"l2fuzz/internal/record"
 )
 
 // SamplePoint is one point of the cumulative series behind Figures 8/9.
@@ -265,37 +266,11 @@ func isRejection(cmd l2cap.Command) bool {
 	return ok
 }
 
-// Summary is the measured outcome of one fuzzing run.
-type Summary struct {
-	// Transmitted counts tester-to-target L2CAP frames.
-	Transmitted int
-	// Malformed counts valid malformed transmitted packets.
-	Malformed int
-	// InvalidTx counts undecodable transmitted signaling packets.
-	InvalidTx int
-	// Received counts target-to-tester L2CAP frames.
-	Received int
-	// Rejections counts rejection packets among them.
-	Rejections int
-	// MPRatio is Malformed / Transmitted.
-	MPRatio float64
-	// PRRatio is Rejections / Received.
-	PRRatio float64
-	// MutationEfficiency is MPRatio × (1 − PRRatio).
-	MutationEfficiency float64
-	// PacketsPerSecond is Transmitted divided by the simulated capture
-	// span.
-	PacketsPerSecond float64
-	// Span is the simulated capture span (first to last observed frame).
-	Span time.Duration
-	// States is the trace-inferred visited-state set, as sorted state
-	// names. Carrying the set (not just its size) lets Merge union
-	// coverage exactly across independent captures.
-	States []string
-	// StatesCovered is len(States), kept as a field for rendering and
-	// comparison convenience.
-	StatesCovered int
-}
+// Summary is the measured outcome of one fuzzing run. The type lives
+// in the dependency-free record package, so the farm's wire protocol,
+// its journal and the journal analyzer carry and fold the same value
+// the sniffer computes; Merge is defined there.
+type Summary = record.Summary
 
 // Summary computes the metrics over everything observed so far.
 func (s *Sniffer) Summary() Summary {

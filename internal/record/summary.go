@@ -1,4 +1,38 @@
-package metrics
+package record
+
+import "time"
+
+// Summary is the measured outcome of one fuzzing run.
+type Summary struct {
+	// Transmitted counts tester-to-target L2CAP frames.
+	Transmitted int
+	// Malformed counts valid malformed transmitted packets.
+	Malformed int
+	// InvalidTx counts undecodable transmitted signaling packets.
+	InvalidTx int
+	// Received counts target-to-tester L2CAP frames.
+	Received int
+	// Rejections counts rejection packets among them.
+	Rejections int
+	// MPRatio is Malformed / Transmitted.
+	MPRatio float64
+	// PRRatio is Rejections / Received.
+	PRRatio float64
+	// MutationEfficiency is MPRatio × (1 − PRRatio).
+	MutationEfficiency float64
+	// PacketsPerSecond is Transmitted divided by the simulated capture
+	// span.
+	PacketsPerSecond float64
+	// Span is the simulated capture span (first to last observed frame).
+	Span time.Duration
+	// States is the trace-inferred visited-state set, as sorted state
+	// names. Carrying the set (not just its size) lets Merge union
+	// coverage exactly across independent captures.
+	States []string
+	// StatesCovered is len(States), kept as a field for rendering and
+	// comparison convenience.
+	StatesCovered int
+}
 
 // Merge combines two trace summaries into the summary an ideal single
 // capture of both traces would have produced. Counters add, the derived
@@ -60,15 +94,5 @@ func unionSorted(a, b []string) []string {
 	}
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
-	return out
-}
-
-// MergeAll folds any number of summaries with Merge. An empty slice
-// yields the zero Summary.
-func MergeAll(sums []Summary) Summary {
-	var out Summary
-	for _, s := range sums {
-		out = out.Merge(s)
-	}
 	return out
 }

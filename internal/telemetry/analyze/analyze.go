@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"l2fuzz/internal/record"
 	"l2fuzz/internal/telemetry"
 )
 
@@ -20,67 +21,16 @@ const (
 	maxVersion = 3
 )
 
-// Header mirrors the journal's farm record: the matrix shape the run
-// was configured with.
-type Header struct {
-	Version  int      `json:"version"`
-	Jobs     int      `json:"jobs"`
-	Workers  int      `json:"workers"`
-	BaseSeed int64    `json:"baseSeed"`
-	Targets  []string `json:"targets"`
-	Kinds    []string `json:"kinds"`
-	Variants []string `json:"variants"`
-	Shards   int      `json:"shards"`
-	// SampleInterval is the counter sampler's period when the writer
-	// declared it (journal version 3); zero means unknown.
-	SampleInterval time.Duration `json:"sampleIntervalNs"`
-}
+// Header is the journal's farm record: the matrix shape the run was
+// configured with. SampleInterval is zero in version-2 journals.
+type Header = record.Farm
 
-// Span mirrors fleet.Span: one job's trace through the farm's phases
-// as monotonic offsets from the farm's start, plus the in-executor
-// execution time. The phase helpers replicate the fleet package's
-// arithmetic so both sides of the schema agree on what each window
-// means.
-type Span struct {
-	QueuedNs     time.Duration `json:"queuedNs"`
-	DispatchedNs time.Duration `json:"dispatchedNs"`
-	StartedNs    time.Duration `json:"startedNs"`
-	FinishedNs   time.Duration `json:"finishedNs"`
-	ExecNs       time.Duration `json:"execNs"`
-}
-
-// QueueWait is how long the job sat in the feed before dispatch.
-func (s Span) QueueWait() time.Duration { return clampDur(s.DispatchedNs - s.QueuedNs) }
-
-// DispatchWait is the dispatcher's delay before execution began (the
-// wait for an idle worker under a subprocess executor).
-func (s Span) DispatchWait() time.Duration { return clampDur(s.StartedNs - s.DispatchedNs) }
-
-// Execute is the in-executor execution time.
-func (s Span) Execute() time.Duration { return clampDur(s.ExecNs) }
-
-// Transport is the executor overhead around execution — the wire codec
-// and pipe cost of a subprocess worker, near zero in-process.
-func (s Span) Transport() time.Duration { return clampDur(s.FinishedNs - s.StartedNs - s.ExecNs) }
-
-// IsZero reports an unstamped span (a version-2 journal).
-func (s Span) IsZero() bool { return s == Span{} }
-
-func clampDur(d time.Duration) time.Duration {
-	if d < 0 {
-		return 0
-	}
-	return d
-}
+// Span is one job's trace through the farm's phases (zero in version-2
+// journals).
+type Span = record.Span
 
 // Job identifies one matrix cell and shard.
-type Job struct {
-	Index   int    `json:"index"`
-	Device  string `json:"device"`
-	Kind    string `json:"kind"`
-	Variant string `json:"variant"`
-	Shard   int    `json:"shard"`
-}
+type Job = record.Job
 
 // Signature is a finding's de-duplication identity, mirroring
 // core.Signature's (state, port, error-class) triple.
@@ -98,32 +48,23 @@ type Occurrence struct {
 	Count   int       `json:"count"`
 }
 
-// Summary is the slice of a job's trace-metrics summary the figures
-// consume.
-type Summary struct {
-	Transmitted   int      `json:"Transmitted"`
-	Malformed     int      `json:"Malformed"`
-	States        []string `json:"States"`
-	StatesCovered int      `json:"StatesCovered"`
-}
-
 // JobDone is one job-done journal record with its envelope offset.
 type JobDone struct {
 	// At is the record's envelope offset: when the result folded, on
 	// the run's monotonic clock.
-	At          time.Duration `json:"-"`
-	Job         Job           `json:"job"`
-	Worker      string        `json:"worker"`
-	Err         string        `json:"err"`
-	PacketsSent int           `json:"packetsSent"`
-	Elapsed     time.Duration `json:"elapsedNs"`
-	Wall        time.Duration `json:"wallNs"`
-	Span        Span          `json:"span"`
-	Crashed     bool          `json:"crashed"`
-	Findings    []Occurrence  `json:"findings"`
-	Summary     Summary       `json:"summary"`
-	Done        int           `json:"done"`
-	Total       int           `json:"total"`
+	At          time.Duration  `json:"-"`
+	Job         Job            `json:"job"`
+	Worker      string         `json:"worker"`
+	Err         string         `json:"err"`
+	PacketsSent int            `json:"packetsSent"`
+	Elapsed     time.Duration  `json:"elapsedNs"`
+	Wall        time.Duration  `json:"wallNs"`
+	Span        Span           `json:"span"`
+	Crashed     bool           `json:"crashed"`
+	Findings    []Occurrence   `json:"findings"`
+	Summary     record.Summary `json:"summary"`
+	Done        int            `json:"done"`
+	Total       int            `json:"total"`
 }
 
 // Failed reports whether the job errored. Failed jobs contribute wall
@@ -139,10 +80,8 @@ type Sample struct {
 
 // WorkerChange is one executor worker lifecycle record.
 type WorkerChange struct {
-	At     time.Duration `json:"-"`
-	Worker string        `json:"worker"`
-	Up     bool          `json:"up"`
-	Err    string        `json:"err"`
+	At time.Duration `json:"-"`
+	record.Worker
 }
 
 // Run is one parsed journal, ready for the figure builders.

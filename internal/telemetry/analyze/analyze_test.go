@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -102,6 +103,52 @@ func TestCoverageExactAgainstReplay(t *testing.T) {
 	}
 	if cov.Interval != 2*time.Millisecond {
 		t.Errorf("coverage Interval = %v, want the configured 2ms sample interval", cov.Interval)
+	}
+}
+
+// TestJobDoneMatchesLiveResult pins the one-format property directly:
+// the journal is written from, and parsed into, the same record types,
+// so every job-done record the analyzer reads equals the live report's
+// JobResult field for field — coordinates, worker, error text, traffic,
+// wall times, trace span, crash state and the whole metrics summary.
+func TestJobDoneMatchesLiveResult(t *testing.T) {
+	run, live := liveRun(t)
+	if len(run.Jobs) != len(live.Jobs) {
+		t.Fatalf("journal holds %d job-done records, live report %d jobs", len(run.Jobs), len(live.Jobs))
+	}
+	byIndex := make(map[int]fleet.JobResult, len(live.Jobs))
+	for _, res := range live.Jobs {
+		byIndex[res.Job.Index] = res
+	}
+	for _, jd := range run.Jobs {
+		res, ok := byIndex[jd.Job.Index]
+		if !ok {
+			t.Fatalf("job-done record for job %d, which the live report lacks", jd.Job.Index)
+		}
+		errText := ""
+		if res.Err != nil {
+			errText = res.Err.Error()
+		}
+		j := res.Job
+		for _, f := range []struct {
+			name      string
+			got, want any
+		}{
+			{"Job", jd.Job, analyze.Job{Index: j.Index, Device: j.Device, Kind: j.Kind, Variant: j.Variant,
+				Shard: j.Shard, Seed: j.Seed, MaxPackets: j.MaxPackets}},
+			{"Worker", jd.Worker, res.Worker},
+			{"Err", jd.Err, errText},
+			{"PacketsSent", jd.PacketsSent, res.PacketsSent},
+			{"Elapsed", jd.Elapsed, res.Elapsed},
+			{"Wall", jd.Wall, res.Wall},
+			{"Span", jd.Span, res.Span},
+			{"Crashed", jd.Crashed, res.Crashed},
+			{"Summary", jd.Summary, res.Summary},
+		} {
+			if !reflect.DeepEqual(f.got, f.want) {
+				t.Errorf("job %d %s: parsed %+v, live %+v", j.Index, f.name, f.got, f.want)
+			}
+		}
 	}
 }
 

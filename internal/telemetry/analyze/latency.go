@@ -53,7 +53,7 @@ func (r *Run) Latency(by GroupBy) ([]LatencyRow, error) {
 	switch by {
 	case ByDevice:
 	case ByKind:
-		key = func(j Job) string { return j.Kind }
+		key = func(j Job) string { return string(j.Kind) }
 	case ByVariant:
 		key = func(j Job) string { return j.Variant }
 	default:
@@ -96,10 +96,9 @@ func (r *Run) Latency(by GroupBy) ([]LatencyRow, error) {
 			}
 			walls = append(walls, jd.Wall)
 			sum += jd.Wall
-			b := int(jd.Wall / width)
-			if b >= histBuckets {
-				b = histBuckets - 1
-			}
+			// A negative wall is a corrupt record; it lands in the
+			// first bucket rather than indexing before it.
+			b := min(max(int(jd.Wall/width), 0), histBuckets-1)
 			row.Hist[b]++
 			if !jd.Span.IsZero() {
 				spanned++

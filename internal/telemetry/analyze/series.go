@@ -1,6 +1,10 @@
 package analyze
 
-import "time"
+import (
+	"time"
+
+	"l2fuzz/internal/record"
+)
 
 // Point is one cumulative reading: Value as of offset At.
 type Point struct {
@@ -71,9 +75,10 @@ func (c Coverage) ByName(name string) Series {
 }
 
 // Coverage folds the run's job results — in journal order, which is
-// the farm's fold order — into the cumulative curves. The fold mirrors
-// the farm aggregator exactly: failed jobs contribute nothing, states
-// accumulate as a set union across job summaries, and findings count
+// the farm's fold order — into the cumulative curves. Malformed packets
+// and visited states fold through record.Summary.Merge, the function
+// the farm aggregator folds job summaries with, so both sides count the
+// same union; failed jobs contribute nothing, and findings count
 // distinct (state, port, error-class) signatures. The final point of
 // each curve therefore equals the replayed report's TotalPackets,
 // Metrics.Malformed, Metrics.StatesCovered and len(Findings) — the
@@ -85,22 +90,19 @@ func (r *Run) Coverage() Coverage {
 		{Name: SeriesStates, Points: []Point{{}}},
 		{Name: SeriesFindings, Points: []Point{{}}},
 	}
-	states := make(map[string]bool)
+	var merged record.Summary
 	sigs := make(map[Signature]bool)
-	packets, malformed := 0, 0
+	packets := 0
 	for _, jd := range r.Jobs {
 		if jd.Failed() {
 			continue
 		}
 		packets += jd.PacketsSent
-		malformed += jd.Summary.Malformed
-		for _, st := range jd.Summary.States {
-			states[st] = true
-		}
+		merged = merged.Merge(jd.Summary)
 		for _, occ := range jd.Findings {
 			sigs[occ.Finding] = true
 		}
-		for i, v := range []int{packets, malformed, len(states), len(sigs)} {
+		for i, v := range []int{packets, merged.Malformed, merged.StatesCovered, len(sigs)} {
 			series[i].Points = append(series[i].Points, Point{At: jd.At, Value: v})
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"time"
 )
 
@@ -21,8 +22,16 @@ type BenchRow struct {
 	Findings int   `json:"findings"`
 	// WallSeconds is the run's wall-clock duration.
 	WallSeconds float64 `json:"wallSeconds"`
-	// PktsPerSec is Packets / WallSeconds.
+	// PktsPerSec is Packets / WallSeconds. For a row measured over
+	// several runs (Runs > 1) it is the median run's, and every other
+	// measured field comes from that same run.
 	PktsPerSec float64 `json:"pktsPerSec"`
+	// Runs, PktsPerSecMin and PktsPerSecMax record how many runs a
+	// multi-run row took and the spread of their packets/s. Rows
+	// recorded from a single run leave them zero.
+	Runs          int     `json:"runs,omitempty"`
+	PktsPerSecMin float64 `json:"pktsPerSecMin,omitempty"`
+	PktsPerSecMax float64 `json:"pktsPerSecMax,omitempty"`
 	// MBPerOp is megabytes allocated over the run.
 	MBPerOp float64 `json:"mbPerOp"`
 	// AllocsPerOp is heap allocations over the run.
@@ -71,6 +80,20 @@ func Measure(fn func() (packets int64, findings int)) BenchRow {
 	if row.WallSeconds > 0 {
 		row.PktsPerSec = float64(packets) / row.WallSeconds
 	}
+	return row
+}
+
+// MeasureRuns runs one workload n times with Measure and returns the
+// median run by packets/s, stamped with the spread of all n runs, so a
+// trajectory can tell a change from run-to-run noise.
+func MeasureRuns(n int, fn func() (packets int64, findings int)) BenchRow {
+	rows := make([]BenchRow, n)
+	for i := range rows {
+		rows[i] = Measure(fn)
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].PktsPerSec < rows[j].PktsPerSec })
+	row := rows[n/2]
+	row.Runs, row.PktsPerSecMin, row.PktsPerSecMax = n, rows[0].PktsPerSec, rows[n-1].PktsPerSec
 	return row
 }
 

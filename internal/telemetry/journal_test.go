@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"os"
@@ -186,4 +187,37 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// FuzzDecodeJournal feeds arbitrary bytes to the journal decoder: it
+// must never panic, never deliver more records than the input has
+// lines, deliver only records that re-encode, and report a torn final
+// record only for input that does not end in a newline.
+func FuzzDecodeJournal(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "journal.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(golden[:len(golden)-20])
+	f.Add([]byte{})
+	f.Add([]byte("\n\n"))
+	f.Add([]byte(`{"type":"farm","data":{}}`))
+	f.Add([]byte(`{"type":"farm","data":{"version":3}` + "\n" + `{"type":`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		delivered := 0
+		err := DecodeJournal(bytes.NewReader(data), func(rec Record) error {
+			delivered++
+			if _, err := json.Marshal(rec); err != nil {
+				t.Fatalf("delivered record does not re-encode: %v", err)
+			}
+			return nil
+		})
+		if lines := bytes.Count(data, []byte("\n")) + 1; delivered > lines {
+			t.Fatalf("delivered %d records from %d lines", delivered, lines)
+		}
+		if errors.Is(err, ErrTruncatedJournal) && bytes.HasSuffix(data, []byte("\n")) {
+			t.Fatalf("newline-terminated input reported torn: %v", err)
+		}
+	})
 }

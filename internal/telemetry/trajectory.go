@@ -19,6 +19,13 @@ type TrajectorySnapshot struct {
 // block per bench-row name, one line per snapshot, with percentage
 // deltas against the previous snapshot that measured the same row.
 //
+// A delta is only as good as its two measurements. When the previous
+// snapshot ran on a host with a different CPU count or GOMAXPROCS, the
+// line says "host changed" instead of printing percentages that would
+// mostly measure the host. When the previous row recorded a spread
+// (several runs, see MeasureRuns) and the new median falls inside it,
+// the packets/s delta is marked noise.
+//
 // Rows whose name starts with "pre/" are skipped: those are same-host
 // baselines recorded inside a snapshot for before/after comparison, not
 // trajectory points. Parent-only rows are annotated; their deltas are
@@ -47,6 +54,7 @@ func RenderBenchTrajectory(snaps []TrajectorySnapshot) string {
 		fmt.Fprintf(&b, "\n%s\n", name)
 		fmt.Fprintf(&b, "  %-4s %12s %10s %12s  %s\n", "PR", "pkts/s", "MB/op", "allocs/op", "delta vs prev")
 		var prev *BenchRow
+		var prevSnap BenchSnapshot
 		for _, ts := range snaps {
 			row, ok := findRow(ts.Snapshot.Rows, name)
 			if !ok {
@@ -58,15 +66,25 @@ func RenderBenchTrajectory(snaps []TrajectorySnapshot) string {
 				note = " (parent process only)"
 			}
 			delta := ""
-			if prev != nil {
+			switch {
+			case prev == nil:
+			case prevSnap.CPUs != ts.Snapshot.CPUs:
+				delta = fmt.Sprintf("host changed (%d→%d CPUs)", prevSnap.CPUs, ts.Snapshot.CPUs)
+			case prevSnap.MaxProcs != ts.Snapshot.MaxProcs:
+				delta = fmt.Sprintf("host changed (GOMAXPROCS %d→%d)", prevSnap.MaxProcs, ts.Snapshot.MaxProcs)
+			default:
+				pkts := pct(row.PktsPerSec, prev.PktsPerSec)
+				if prev.PktsPerSecMax > 0 && row.PktsPerSec >= prev.PktsPerSecMin && row.PktsPerSec <= prev.PktsPerSecMax {
+					pkts += " noise"
+				}
 				delta = fmt.Sprintf("pkts/s %s, MB %s, allocs %s",
-					pct(row.PktsPerSec, prev.PktsPerSec),
+					pkts,
 					pct(row.MBPerOp, prev.MBPerOp),
 					pct(float64(row.AllocsPerOp), float64(prev.AllocsPerOp)))
 			}
 			fmt.Fprintf(&b, "  %-4s %12.0f %10.1f %12s%s  %s\n",
 				ts.Label, row.PktsPerSec, row.MBPerOp, alloc, note, delta)
-			prev = &row
+			prev, prevSnap = &row, ts.Snapshot
 		}
 	}
 	return b.String()
